@@ -3,8 +3,7 @@
 For each requested size the harness generates a dataset with the reference
 port/vessel cardinalities, runs the full preparation pipeline once, then
 times every (pattern, variant) cell over the shared sealed graph. Cells run
-sequentially for clean timing; the engine's own parallelism, if any, is up
-to the detection call.
+sequentially for clean timing.
 
 Absolute times from other stacks are explicitly not targets; what the
 harness is for is orderings (date-filtered variants beat unfiltered ones)

@@ -59,7 +59,6 @@ class PipelineConfig:
     threshold_days: int = 3
     cluster_window_days: int = 7
     match_window_days: int = 3
-    parallelism: int = 0  # 0: use the machine's core count
     seed: int = 42
     vocabulary: Optional[str] = None
 
@@ -77,9 +76,6 @@ class PipelineConfig:
                 raise ValueError("unknown config key %r in %s" % (key, path))
             setattr(config, key, value)
         return config
-
-    def effective_parallelism(self) -> int:
-        return self.parallelism if self.parallelism > 0 else (os.cpu_count() or 1)
 
 
 _PATTERN_NAMES = {
@@ -152,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     det.add_argument("--threshold-days", type=int)
     det.add_argument("--variant", choices=("filtered", "unfiltered"), default="filtered")
     det.add_argument("--out", help="report CSV path")
-    det.add_argument("--parallelism", type=int)
     det.add_argument("--quiet", action="store_true", help="suppress the text report")
 
     bench = sub.add_parser("bench", help="scaling benchmark over generated datasets")
@@ -309,16 +304,7 @@ def _cmd_detect(args, config: PipelineConfig) -> int:
     threshold = (
         args.threshold_days if args.threshold_days is not None else config.threshold_days
     )
-    parallelism = (
-        args.parallelism if args.parallelism is not None else config.effective_parallelism()
-    )
-    detections = run_detect(
-        kind,
-        graph,
-        threshold_days=threshold,
-        variant=args.variant,
-        parallelism=parallelism,
-    )
+    detections = run_detect(kind, graph, threshold_days=threshold, variant=args.variant)
     if not args.quiet:
         print(report_text(detections), end="")
     if args.out:

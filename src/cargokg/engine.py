@@ -26,12 +26,18 @@ products) only when nothing else remains. The plan never changes the result,
 only the join order, and binds/filters run as soon as their inputs are
 bound.
 
-Evaluation is read-only over the sealed graph, so any number of queries may
-run concurrently; one query's pipeline is sequential.
+Parameters
+----------
+``evaluate_rows`` takes bindings: rows that fix some variables (the
+parameters) to individuals before any atom runs. The query is planned once,
+with the parameters counted as nominals, and then runs one pipeline pass per
+binding; a parameter behaves exactly like a nominal constant with its bound
+value in that place. This is how one template runs over many anchor ports.
 """
 
 from datetime import date
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostics, record
 from .graph import GraphError, KnowledgeGraph, SealedGraphError
@@ -44,6 +50,7 @@ from .queries import (
     RoleAtom,
     SubclassAtom,
     SubstringBind,
+    Term,
     TypeAtom,
     Var,
 )
@@ -133,28 +140,22 @@ def _atom_vars(atom: Atom) -> List[str]:
     return [t.name for t in terms if isinstance(t, Var)]
 
 
-def _has_const(atom: Atom) -> bool:
-    terms = (
-        (atom.subject, atom.concept)
-        if isinstance(atom, TypeAtom)
-        else (atom.child, atom.ancestor)
-        if isinstance(atom, SubclassAtom)
-        else (atom.subject, atom.object)
-    )
-    if isinstance(atom, SubclassAtom):
-        return isinstance(atom.child, Const)
-    if isinstance(atom, TypeAtom):
-        return isinstance(atom.subject, Const)
-    return any(isinstance(t, Const) for t in terms)
+def _nominal(term, params: AbstractSet[str]) -> bool:
+    """A constant, or a parameter: fixed before the first atom runs."""
+    return isinstance(term, Const) or term.name in params
 
 
-def _estimate(graph: KnowledgeGraph, atom: Atom, bound: set) -> Tuple[int, float]:
+def _estimate(
+    graph: KnowledgeGraph, atom: Atom, bound: set, params: AbstractSet[str]
+) -> Tuple[int, float]:
     """(tier, expected row multiplier) for the greedy planner.
 
     Tier 0: checks and nominal-anchored lookups; tier 1: taxonomy-bounded
     enumerations; tier 2: joins along a bound variable; tier 3: would be a
     cross product. Within a tier lower multipliers win, so row-killing atoms
-    run before row-multiplying ones.
+    run before row-multiplying ones. A constant's lookup is sized exactly; a
+    parameter's value is not known yet, so it is sized by the role's mean
+    branching.
     """
     vars_ = _atom_vars(atom)
     unbound = [v for v in vars_ if v not in bound]
@@ -165,23 +166,23 @@ def _estimate(graph: KnowledgeGraph, atom: Atom, bound: set) -> Tuple[int, float
         if not unbound:
             return 0, 1  # pure membership check
         out_branch, in_branch = graph.role_branching(atom.role)
-        subject_fixed = isinstance(atom.subject, Const) or (
-            isinstance(atom.subject, Var) and atom.subject.name in bound
-        )
-        object_fixed = isinstance(atom.object, Const) or (
-            isinstance(atom.object, Var) and atom.object.name in bound
-        )
-        if isinstance(atom.subject, Const) and not object_fixed:
-            return 0, len(graph.objects(atom.subject.name, atom.role)) * factor
-        if isinstance(atom.object, Const) and not subject_fixed:
-            return 0, len(graph.subjects(atom.object.name, atom.role)) * factor
+        subject_fixed = isinstance(atom.subject, Const) or atom.subject.name in bound
+        object_fixed = isinstance(atom.object, Const) or atom.object.name in bound
+        if _nominal(atom.subject, params) and not object_fixed:
+            if isinstance(atom.subject, Const):
+                out_branch = len(graph.objects(atom.subject.name, atom.role))
+            return 0, out_branch * factor
+        if _nominal(atom.object, params) and not subject_fixed:
+            if isinstance(atom.object, Const):
+                in_branch = len(graph.subjects(atom.object.name, atom.role))
+            return 0, in_branch * factor
         if subject_fixed:
             return 2, out_branch * factor
         if object_fixed:
             return 2, in_branch * factor
         return 3, max(graph.edge_count(), 1) * factor
     if isinstance(atom, SubclassAtom):
-        if isinstance(atom.child, Const) or not unbound:
+        if _nominal(atom.child, params) or not unbound:
             return 0, 1
         if shares:
             return 2, 0.5  # filters bound class variables hard
@@ -189,9 +190,9 @@ def _estimate(graph: KnowledgeGraph, atom: Atom, bound: set) -> Tuple[int, float
     # TypeAtom
     if not unbound:
         return 0, 1
-    if isinstance(atom.subject, Const):
+    if _nominal(atom.subject, params):
         return 0, 4
-    subject_bound = isinstance(atom.subject, Var) and atom.subject.name in bound
+    subject_bound = atom.subject.name in bound
     if isinstance(atom.concept, Const):
         if subject_bound:
             return 2, 0.9  # subsumption check, usually shrinks
@@ -203,41 +204,38 @@ def _estimate(graph: KnowledgeGraph, atom: Atom, bound: set) -> Tuple[int, float
     return 3, max(len(graph.individuals), 1) * 4.0
 
 
-def plan_indices(query: PatternQuery, graph: KnowledgeGraph) -> List[int]:
-    """The greedy atom order as indices into ``query.atoms``.
+def plan(
+    query: PatternQuery, graph: KnowledgeGraph, params: AbstractSet[str] = frozenset()
+) -> List[Atom]:
+    """Greedy selectivity ordering of the query's resolved atoms.
 
-    Useful when one template is instantiated with many nominals: the order
-    depends only on the query's shape, so it can be computed once and
-    replayed.
+    ``params`` are variables bound before the first atom (see
+    ``evaluate_rows``); they anchor the plan like nominals do. Semantics-
+    preserving: any order yields the same result set; this one starts from
+    nominal-anchored atoms and grows the join along shared variables.
     """
     atoms = resolve_names(query, graph)
+    # a shared parameter does not connect two atoms: joining through it
+    # would be a cross product per binding
+    free = [[v for v in _atom_vars(atom) if v not in params] for atom in atoms]
     remaining = list(enumerate(atoms))
-    order: List[int] = []
-    bound: set = set()
+    order: List[Atom] = []
+    joined: set = set()  # bound by the atoms placed so far
     while remaining:
+        bound = joined | params
+
         def key(item):
             index, atom = item
-            tier, size = _estimate(graph, atom, bound)
-            vars_ = _atom_vars(atom)
-            connected = (not bound) or any(v in bound for v in vars_) or not vars_
+            tier, size = _estimate(graph, atom, bound, params)
+            vars_ = free[index]
+            connected = (not joined) or any(v in joined for v in vars_) or not vars_
             return (0 if connected else 1, tier, size, index)
 
         remaining.sort(key=key)
         index, atom = remaining.pop(0)
-        order.append(index)
-        bound.update(_atom_vars(atom))
+        order.append(atom)
+        joined.update(free[index])
     return order
-
-
-def plan(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
-    """Greedy selectivity ordering of the query's atoms.
-
-    Semantics-preserving: any order yields the same result set; this one
-    starts from nominal-anchored atoms and grows the join along shared
-    variables.
-    """
-    atoms = resolve_names(query, graph)
-    return [atoms[i] for i in plan_indices(query, graph)]
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +254,31 @@ def _coerce_date(graph: KnowledgeGraph, value: str) -> Optional[date]:
 
 
 class _Pipeline:
+    """A planned query's join pipeline, run once per binding.
+
+    The transitive-closure memo serves every pass (closures do not depend on
+    the binding); the semi-join restrictor sets are rebuilt per pass.
+    """
+
     def __init__(
         self,
         graph: KnowledgeGraph,
         query: PatternQuery,
+        atoms: List[Atom],
+        params: AbstractSet[str],
         diagnostics: Optional[Diagnostics],
-        closure_memo: Optional[Tuple[Dict, Dict]] = None,
-        restrictor_specs: Optional[Dict[str, List[Tuple[str, str, str]]]] = None,
     ):
         self.graph = graph
         self.query = query
+        self.atoms = atoms
         self.diagnostics = diagnostics
-        self._restrictor_specs = restrictor_specs or {}
+        self._restrictor_specs = _nominal_restrictor_specs(graph, atoms, params)
         self._restrictors: Dict[str, Optional[frozenset]] = {}
-        if closure_memo is not None:
-            self.memo_succ, self.memo_pred = closure_memo
-        else:
-            self.memo_succ, self.memo_pred = {}, {}
+        self._binding: Row = {}
+        self.memo_succ, self.memo_pred = {}, {}
 
     def _allowed(self, term) -> Optional[frozenset]:
-        """Materialised lazily: anchors whose joins die early never pay for
+        """Materialised lazily: passes whose joins die early never pay for
         building the sets."""
         if not isinstance(term, Var):
             return None
@@ -285,17 +288,54 @@ class _Pipeline:
         specs = self._restrictor_specs.get(name)
         allowed: Optional[frozenset] = None
         if specs:
-            for role, const, direction in specs:
+            for role, end, direction in specs:
+                node = end.name if isinstance(end, Const) else self._binding[end.name]
                 members = (
-                    self.graph.objects(const, role)
+                    self.graph.objects(node, role)
                     if direction == "objects"
-                    else self.graph.subjects(const, role)
+                    else self.graph.subjects(node, role)
                 )
                 allowed = (
                     frozenset(members) if allowed is None else allowed & frozenset(members)
                 )
         self._restrictors[name] = allowed
         return allowed
+
+    def run(self, binding: Row) -> List[Row]:
+        """One pass, starting from the binding's row. Binds and filters run
+        as soon as their inputs are bound (filters only ever shrink the row
+        set, so early filters are safe and exactly what makes the
+        date-filtered variants fast)."""
+        self._binding = binding
+        self._restrictors = {}
+        rows: List[Row] = [dict(binding)]
+        pending_binds = list(self.query.binds)
+        pending_filters = list(self.query.filters)
+
+        def flush(rows: List[Row]) -> List[Row]:
+            progressed = True
+            while progressed:
+                progressed = False
+                for bind in list(pending_binds):
+                    if not rows or bind.source in rows[0]:
+                        if rows:
+                            rows = self.apply_bind(rows, bind)
+                        pending_binds.remove(bind)
+                        progressed = True
+                for flt in list(pending_filters):
+                    if not rows or (flt.lhs in rows[0] and flt.rhs in rows[0]):
+                        if rows:
+                            rows = self.apply_filter(rows, flt)
+                        pending_filters.remove(flt)
+                        progressed = True
+            return rows
+
+        for atom in self.atoms:
+            rows = self.extend(rows, atom)
+            if not rows:
+                return []
+            rows = flush(rows)
+        return flush(rows)
 
     # -- atom matching ------------------------------------------------------
 
@@ -458,26 +498,29 @@ class _Pipeline:
 
 
 def _nominal_restrictor_specs(
-    graph: KnowledgeGraph, atoms: Sequence[Atom]
-) -> Dict[str, List[Tuple[str, str, str]]]:
+    graph: KnowledgeGraph, atoms: Sequence[Atom], params: AbstractSet[str]
+) -> Dict[str, List[Tuple[str, Term, str]]]:
     """Semi-join push-down: a variable that must also satisfy a
     nominal-anchored non-transitive role atom can only ever bind inside that
     atom's adjacency, so expansions binding it are filtered against the set
-    up front. The anchored atom itself still runs (then trivially), results
-    are unchanged, but row blow-up between the two atoms disappears."""
-    specs: Dict[str, List[Tuple[str, str, str]]] = {}
+    up front. The fixed end is a constant or a parameter. The anchored atom
+    itself still runs (then trivially), results are unchanged, but row
+    blow-up between the two atoms disappears."""
+    specs: Dict[str, List[Tuple[str, Term, str]]] = {}
     for atom in atoms:
         if not isinstance(atom, RoleAtom):
             continue
         if graph.resolve_role(atom.role).transitive:
             continue
-        if isinstance(atom.subject, Const) and isinstance(atom.object, Var):
+        subject_fixed = _nominal(atom.subject, params)
+        object_fixed = _nominal(atom.object, params)
+        if subject_fixed and not object_fixed:
             specs.setdefault(atom.object.name, []).append(
-                (atom.role, atom.subject.name, "objects")
+                (atom.role, atom.subject, "objects")
             )
-        elif isinstance(atom.object, Const) and isinstance(atom.subject, Var):
+        elif object_fixed and not subject_fixed:
             specs.setdefault(atom.subject.name, []).append(
-                (atom.role, atom.object.name, "subjects")
+                (atom.role, atom.object, "subjects")
             )
     return specs
 
@@ -486,46 +529,32 @@ def _run_pipeline(
     query: PatternQuery,
     graph: KnowledgeGraph,
     diagnostics: Optional[Diagnostics],
-    atom_order: Optional[Sequence[Atom]],
-    closure_memo: Optional[Tuple[Dict, Dict]] = None,
+    atom_order: Optional[Sequence[Atom]] = None,
+    bindings: Optional[Iterable[Row]] = None,
 ) -> List[Row]:
-    """Join the atoms in plan order; binds and filters run as soon as their
-    inputs are bound (filters only ever shrink the row set, so early filters
-    are safe and exactly what makes the date-filtered variants fast)."""
+    """Plan once for the variables the first binding fixes, then run one
+    pass per binding, in order, taking the bindings lazily."""
     if not graph.sealed:
         raise SealedGraphError("queries run against sealed graphs only")
-    atoms = list(atom_order) if atom_order is not None else plan(query, graph)
-    pipeline = _Pipeline(
-        graph, query, diagnostics, closure_memo, _nominal_restrictor_specs(graph, atoms)
-    )
-    rows: List[Row] = [{}]
-    pending_binds = list(query.binds)
-    pending_filters = list(query.filters)
-
-    def flush(rows: List[Row]) -> List[Row]:
-        progressed = True
-        while progressed:
-            progressed = False
-            for bind in list(pending_binds):
-                if not rows or bind.source in rows[0]:
-                    if rows:
-                        rows = pipeline.apply_bind(rows, bind)
-                    pending_binds.remove(bind)
-                    progressed = True
-            for flt in list(pending_filters):
-                if not rows or (flt.lhs in rows[0] and flt.rhs in rows[0]):
-                    if rows:
-                        rows = pipeline.apply_filter(rows, flt)
-                    pending_filters.remove(flt)
-                    progressed = True
-        return rows
-
-    for atom in atoms:
-        rows = pipeline.extend(rows, atom)
-        if not rows:
-            return []
-        rows = flush(rows)
-    return flush(rows)
+    passes = iter([{}] if bindings is None else bindings)
+    first = next(passes, None)
+    if first is None:
+        return []
+    params = frozenset(first)
+    atoms = list(atom_order) if atom_order is not None else plan(query, graph, params)
+    pipeline = _Pipeline(graph, query, atoms, params, diagnostics)
+    rows: List[Row] = []
+    for binding in chain([first], passes):
+        if binding.keys() != params:
+            raise ValueError(
+                "every binding must fix the same variables: %s, not %s"
+                % (sorted(params), sorted(binding))
+            )
+        for node in binding.values():
+            if node not in graph.individuals:
+                raise UnresolvedNameError("unknown individual %r" % node)
+        rows.extend(pipeline.run(binding))
+    return rows
 
 
 def evaluate(
@@ -551,13 +580,14 @@ def evaluate_rows(
     query: PatternQuery,
     graph: KnowledgeGraph,
     diagnostics: Optional[Diagnostics] = None,
-    atom_order: Optional[Sequence[Atom]] = None,
-    closure_memo: Optional[Tuple[Dict, Dict]] = None,
+    bindings: Optional[Iterable[Row]] = None,
 ) -> List[Row]:
     """Full variable bindings (no projection); used for evidence extraction.
 
-    ``closure_memo`` lets a caller running many related queries share the
-    transitive-closure cache (entries are insert-only and idempotent, so
-    sharing is safe across threads reading one sealed graph).
+    ``bindings`` (default: one empty binding) are rows that fix the same
+    variables to individuals, e.g. ``{"port": node}``; the result is the
+    concatenation, in binding order, of each binding's answers, every row
+    carrying the binding's values. One binding gives the same rows as
+    substituting its values for the variables as nominals.
     """
-    return _run_pipeline(query, graph, diagnostics, atom_order, closure_memo)
+    return _run_pipeline(query, graph, diagnostics, bindings=bindings)

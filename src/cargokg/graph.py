@@ -23,6 +23,7 @@ the ISO date sits at 1-indexed offset 5, length 10, which is what the
 substring binds in the query dialect rely on.
 """
 
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -569,8 +570,17 @@ class KnowledgeGraph:
             lines.append(" ".join(parts))
         for subject, role_name, obj in edges:
             lines.append("edge %s %s %s" % (subject, role_name, obj))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        # write beside the target, then rename over it: a failed save leaves
+        # the previous file as it was
+        partial = "%s.%d.tmp" % (path, os.getpid())
+        try:
+            with open(partial, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(partial, path)
+        except BaseException:
+            if os.path.exists(partial):
+                os.remove(partial)
+            raise
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
@@ -585,23 +595,25 @@ class KnowledgeGraph:
                     % (header[1], cls.FORMAT_VERSION)
                 )
             n_concepts, n_individuals, n_edges = (int(x) for x in header[2:5])
-            for line in fh:
+            for number, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(" ")
-                if not parts or not parts[0]:
-                    continue
                 kind = parts[0]
-                if kind == "concept":
-                    graph.add_concept(parts[1], parts[2])
-                elif kind == "individual":
+                if kind == "edge" and len(parts) == 4:
+                    graph.add_edge(parts[1], parts[2], parts[3])
+                elif kind == "individual" and len(parts) >= 3:
                     attrs = {}
                     for chunk in parts[3:]:
                         key, _, value = chunk.partition("=")
                         attrs[key] = unquote(value)
                     graph.add_individual(parts[1], parts[2], **attrs)
-                elif kind == "edge":
-                    graph.add_edge(parts[1], parts[2], parts[3])
-                else:
-                    raise GraphFormatError("unknown record kind %r" % kind)
+                elif kind == "concept" and len(parts) == 3:
+                    graph.add_concept(parts[1], parts[2])
+                elif kind in ("edge", "individual", "concept"):
+                    raise GraphFormatError(
+                        "line %d: malformed %s record: %r" % (number, kind, line.rstrip("\n"))
+                    )
+                elif kind:
+                    raise GraphFormatError("line %d: unknown record kind %r" % (number, kind))
         if len(graph.individuals) != n_individuals or graph.edge_count() != n_edges:
             raise GraphFormatError(
                 "truncated graph file: header promised %d individuals / %d edges"

@@ -8,32 +8,32 @@ An unnecessary transshipment: the vessel a container was discharged from at
 a transshipment later reaches the container's own destination port, so the
 hand-over bought nothing and often hides the shipment's true origin.
 
-Both detectors instantiate the shipped query templates once per realized
-port nominal (ports never touched by an itinerary cannot match and are
-skipped), evaluate them against the sealed graph, and convert result rows
-into Detections carrying evidence and a date gap between the container's
-end and the vessel's return/arrival. Raw matches with a wide gap are almost
-always sequence gaps rather than anomalies, so a threshold partitions them
-into Suspicious and PrunedByDate.
+Both detectors run the shipped query templates with their port placeholders
+lifted into parameters: the template is planned once, then evaluated once
+per realized anchor port (ports never touched by an itinerary cannot match
+and are skipped) passed in as a binding. Result rows become Detections
+carrying evidence and a date gap between the container's end and the
+vessel's return/arrival. Raw matches with a wide gap are almost always
+sequence gaps rather than anomalies, so a threshold partitions them into
+Suspicious and PrunedByDate.
 
 The date-filtered templates are the primary path; the unfiltered forms stay
-available for benchmark parity. Anchors evaluate independently over the
-shared sealed graph, so they may run on a thread pool; results are
-order-normalised either way.
+available for benchmark parity. They do not ask the same thing in every case
+(see ``_direction_holds``).
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from importlib import resources
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import product
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .diagnostics import Diagnostics
-from .engine import evaluate_rows, plan_indices, resolve_names
+from .engine import evaluate_rows
 from .graph import KnowledgeGraph
-from .queries import PatternQuery, parse_query, substitute_nominals
+from .queries import PatternQuery, Var, parse_query, substitute_nominals
 
 DEFAULT_DATE_THRESHOLD_DAYS = 3
 
@@ -174,6 +174,23 @@ def realized_visited_ports(graph: KnowledgeGraph) -> List[str]:
     return sorted(ports)
 
 
+# Per template, its port parameters in binding order: parameter → (the
+# PatternSpec field that pins it, the realized ports it otherwise ranges
+# over). The pair form of Loop is anchored at (source, destination) pairs.
+_ANCHORS: Dict[str, Dict[str, Tuple[str, Callable[[KnowledgeGraph], List[str]]]]] = {
+    "loop_filtered": {"port": ("port_p1", realized_source_ports)},
+    "loop": {
+        "port1": ("port_p1", realized_source_ports),
+        "port2": ("port_px", realized_destination_ports),
+    },
+    "loop_intermediate": {"port": ("port_p1", realized_visited_ports)},
+    "unnecessary_transshipment": {"port": ("port_px", realized_destination_ports)},
+    "unnecessary_transshipment_unfiltered": {
+        "port": ("port_px", realized_destination_ports)
+    },
+}
+
+
 # ---------------------------------------------------------------------------
 # Detection
 
@@ -267,8 +284,14 @@ def _direction_holds(kind: PatternKind, end: Optional[date], vessel: Optional[da
     the itinerary ends, an unnecessary-transshipment arrival after it.
 
     The date-filtered query forms enforce this inside the join; for the
-    unfiltered forms it is applied here as post-cleaning, so every variant
-    reports the same detections.
+    unfiltered forms it is applied here, after the join. For unnecessary
+    transshipment both forms then give the same detections. For Loop they
+    ask different things after the vessel's return to p1: the filtered form
+    asks for a later discharge of the container from that vessel, dated
+    after the return; the pair form asks only that the vessel later call at
+    the itinerary's destination port. So the pair form can report a loop
+    the filtered form does not (at seed 7 with 300 itineraries: port
+    PORT0066, gap -42 d, PrunedByDate).
     """
     if end is None or vessel is None:
         return True  # kept; MissingDate routing happens at pruning
@@ -281,47 +304,29 @@ def _rows_to_detections(
     graph: KnowledgeGraph,
     kind: PatternKind,
     rows: List[Dict[str, str]],
-    p1_node: str,
-    px_node: Optional[str],
+    anchors: Dict[str, Tuple[str, Callable]],
 ) -> List[Detection]:
-    """Group full binding rows by (itinerary, end date, vessel date) — the
-    identity the projected DISTINCT form would give — and keep one canonical
-    evidence row per group."""
+    """Group full binding rows by (anchor ports, itinerary, end date, vessel
+    date) — per anchor, the identity the projected DISTINCT form would give —
+    and keep one canonical evidence row per group."""
     groups: Dict[Tuple, Dict[str, str]] = {}
     for row in rows:
         end = _date_of(graph, row["cd"])
         vessel = _event_date(graph, row["v1"])
         if not _direction_holds(kind, end, vessel):
             continue
-        key = (row["c"], end, vessel)
+        key = (tuple(row[name] for name in anchors), row["c"], end, vessel)
         best = groups.get(key)
         candidate_rank = tuple(row[k] for k in sorted(row))
         if best is None or candidate_rank < tuple(best[k] for k in sorted(best)):
             groups[key] = row
-    return [
-        _build_detection(graph, kind, row, p1_node, px_node)
-        for _, row in sorted(groups.items(), key=lambda kv: kv[0][0])
-    ]
-
-
-def _anchor_tasks(
-    kind: PatternKind, graph: KnowledgeGraph, spec: PatternSpec
-) -> List[Tuple[Dict[str, str], str, Optional[str]]]:
-    """(nominal substitution, p1 node, px node) per query instantiation."""
-    tasks = []
-    if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT:
-        anchors = (
-            [spec.port_px] if spec.port_px else realized_destination_ports(graph)
+    detections = []
+    for _, row in sorted(groups.items(), key=lambda kv: kv[0][:2]):
+        ports = {field: row[name] for name, (field, _) in anchors.items()}
+        detections.append(
+            _build_detection(graph, kind, row, ports.get("port_p1"), ports.get("port_px"))
         )
-        for p in anchors:
-            tasks.append(({"port": p}, p, p))
-    elif kind is PatternKind.LOOP_INTERMEDIATE:
-        anchors = [spec.port_p1] if spec.port_p1 else realized_visited_ports(graph)
-        for p in anchors:
-            tasks.append(({"port": p}, p, None))
-    else:
-        return []
-    return tasks
+    return detections
 
 
 def detect(
@@ -330,75 +335,39 @@ def detect(
     threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS,
     variant: str = "filtered",
     spec: Optional[PatternSpec] = None,
-    parallelism: int = 1,
     deadline_seconds: Optional[float] = None,
     diagnostics: Optional[Diagnostics] = None,
 ) -> List[Detection]:
     """Run one pattern over all realized port nominals.
 
-    Every matching (itinerary, container end, vessel return/arrival) triple
+    Every matching (anchor, itinerary, container end, vessel return/arrival)
     becomes exactly one Detection; the threshold assigns the verdict.
-    ``deadline_seconds`` bounds the wall time (DetectTimeout on expiry).
+    ``deadline_seconds`` bounds the wall time (DetectTimeout on expiry,
+    checked between anchors).
     """
     if spec is None:
         spec = PatternSpec(kind, date_threshold_days=threshold_days)
     started = time.monotonic()
     template_name = template_for(kind, variant)
-    template = load_query(template_name)
+    anchors = _ANCHORS[template_name]
+    template = substitute_nominals(
+        load_query(template_name), {name: Var(name) for name in anchors}
+    )
+    ranges = [
+        [getattr(spec, field)] if getattr(spec, field) else realized(graph)
+        for field, realized in anchors.values()
+    ]
 
-    if kind is PatternKind.LOOP and variant == "unfiltered":
-        if spec.port_p1 and spec.port_px:
-            pairs = [(spec.port_p1, spec.port_px)]
-        else:
-            # all pairs of realized sources x realized destinations; ports no
-            # itinerary starts from or ends at cannot match and are skipped
-            sources = [spec.port_p1] if spec.port_p1 else realized_source_ports(graph)
-            dests = [spec.port_px] if spec.port_px else realized_destination_ports(graph)
-            pairs = [(a, b) for a in sources for b in dests]
-        tasks = [({"port1": a, "port2": b}, a, b) for a, b in pairs if a != b]
-    elif kind is PatternKind.LOOP:
-        anchors = [spec.port_p1] if spec.port_p1 else realized_source_ports(graph)
-        tasks = [({"port": p}, p, None) for p in anchors]
-    else:
-        tasks = _anchor_tasks(kind, graph, spec)
-
-    # the greedy order depends only on the template's shape, so plan the
-    # first instantiation and replay the order for every other anchor; the
-    # transitive-closure memo is likewise shared (chains do not depend on
-    # the anchor)
-    order_indices: List[int] = []
-    if tasks:
-        first = substitute_nominals(template, tasks[0][0])
-        order_indices = plan_indices(first, graph)
-    closure_memo: Tuple[Dict, Dict] = ({}, {})
-
-    def run_anchor(task) -> List[Detection]:
-        mapping, p1_node, px_node = task
-        bound = substitute_nominals(template, mapping)
-        resolved = resolve_names(bound, graph)
-        ordered = [resolved[i] for i in order_indices]
-        rows = evaluate_rows(
-            bound, graph, diagnostics, atom_order=ordered, closure_memo=closure_memo
-        )
-        return _rows_to_detections(graph, kind, rows, p1_node, px_node)
-
-    detections: List[Detection] = []
-    if parallelism > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = []
-            for task in tasks:
-                if deadline_seconds is not None and time.monotonic() - started > deadline_seconds:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise DetectTimeout(kind.value)
-                futures.append(pool.submit(run_anchor, task))
-            for future in futures:
-                detections.extend(future.result())
-    else:
-        for task in tasks:
+    def bindings() -> Iterator[Dict[str, str]]:
+        for ports in product(*ranges):
+            if len(set(ports)) < len(ports):
+                continue  # a loop never starts and ends at one port
             if deadline_seconds is not None and time.monotonic() - started > deadline_seconds:
                 raise DetectTimeout(kind.value)
-            detections.extend(run_anchor(task))
+            yield dict(zip(anchors, ports))
 
+    rows = evaluate_rows(template, graph, diagnostics, bindings())
+    detections = _rows_to_detections(graph, kind, rows, anchors)
     suspicious, pruned = prune_by_date(detections, spec.date_threshold_days)
     merged = suspicious + pruned
     merged.sort(key=Detection.sort_key)

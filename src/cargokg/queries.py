@@ -98,28 +98,6 @@ class PatternQuery:
     binds: List[SubstringBind] = field(default_factory=list)
     filters: List[DateCompare] = field(default_factory=list)
 
-    def variables(self) -> List[str]:
-        seen: List[str] = []
-
-        def visit(term: Term) -> None:
-            if isinstance(term, Var) and term.name not in seen:
-                seen.append(term.name)
-
-        for atom in self.atoms:
-            if isinstance(atom, TypeAtom):
-                visit(atom.subject)
-                visit(atom.concept)
-            elif isinstance(atom, SubclassAtom):
-                visit(atom.child)
-                visit(atom.ancestor)
-            else:
-                visit(atom.subject)
-                visit(atom.object)
-        for bind in self.binds:
-            if bind.target not in seen:
-                seen.append(bind.target)
-        return seen
-
 
 @dataclass
 class ResultSet:
@@ -423,12 +401,14 @@ def substitute_nominals(query: PatternQuery, mapping: dict) -> PatternQuery:
     """Rewrite Const terms by name, e.g. {"port1": "port_shangai_cn"}.
 
     Used to instantiate shipped query templates with concrete port
-    individuals.
+    individuals. A ``Var`` value turns the placeholder into that variable
+    instead, a parameter the engine binds per evaluation pass.
     """
 
     def sub(term: Term) -> Term:
         if isinstance(term, Const) and term.name in mapping:
-            return Const(mapping[term.name])
+            value = mapping[term.name]
+            return value if isinstance(value, Var) else Const(value)
         return term
 
     atoms: List[Atom] = []
@@ -440,8 +420,3 @@ def substitute_nominals(query: PatternQuery, mapping: dict) -> PatternQuery:
         else:
             atoms.append(RoleAtom(sub(atom.subject), atom.role, sub(atom.object)))
     return replace(query, atoms=atoms)
-
-
-def with_projection(query: PatternQuery, projection: List[str], distinct: bool) -> PatternQuery:
-    """Same WHERE clause, different SELECT list (for evidence extraction)."""
-    return replace(query, projection=list(projection), distinct=distinct)

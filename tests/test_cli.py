@@ -155,6 +155,12 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "version" in err
 
+    truncated = tmp_path / "trunc.kb"
+    truncated.write_text("cargokg-graph 1 0 0 1\nedge ce_1 hasLocation\n")
+    code, _, err = _run(capsys, "detect", "loop", "--kb", str(truncated))
+    assert code == 1
+    assert "line 2: malformed edge record" in err
+
     qfile = tmp_path / "broken.pq"
     qfile.write_text("SELECT ?x WHERE { ?x a st:Port .")
     code, _, err = _run(capsys, "query", str(qfile), "--kb", str(bad))

@@ -1,14 +1,16 @@
 import random
 from datetime import date
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cargokg.diagnostics import Diagnostics
 from cargokg.engine import UnresolvedNameError, evaluate, evaluate_rows, plan, resolve_names
 from cargokg.graph import KnowledgeGraph, timestamp_node
 from cargokg.events import timestamp_literal
-from cargokg.patterns import load_query
-from cargokg.queries import Const, RoleAtom, parse_query, substitute_nominals
+from cargokg.patterns import _TEMPLATE_FILES, load_query
+from cargokg.queries import Const, RoleAtom, Var, parse_query, substitute_nominals
 
 from helpers import loop_scenario, unnecessary_scenario
 from oracles import oracle_evaluate
@@ -215,3 +217,61 @@ def test_evaluate_rows_returns_full_bindings(vocab):
     for row in rows:
         for var in ("c", "cd", "t", "v", "v1", "endCI", "vesStop"):
             assert var in row
+
+
+def _placeholders(query):
+    names = {
+        term.name
+        for atom in query.atoms
+        for term in vars(atom).values()
+        if isinstance(term, Const)
+    }
+    return sorted(names & {"port", "port1", "port2"})
+
+
+def _multiset(rows):
+    return sorted(tuple(sorted(row.items())) for row in rows)
+
+
+def _check_bindings_equal_substitutions(graph):
+    """For every shipped template, one call with a binding per port (pair)
+    gives the union of the substituted queries' rows, port columns added."""
+    ports = sorted(n for n in graph.individuals if n.startswith("port_"))
+    for name in _TEMPLATE_FILES:
+        template = load_query(name)
+        params = _placeholders(template)
+        assert params, name
+        bindings = [dict(zip(params, nodes)) for nodes in product(ports, repeat=len(params))]
+        expected = [
+            {**row, **binding}
+            for binding in bindings
+            for row in evaluate_rows(substitute_nominals(template, binding), graph)
+        ]
+        lifted = substitute_nominals(template, {p: Var(p) for p in params})
+        got = evaluate_rows(lifted, graph, bindings=iter(bindings))
+        assert _multiset(got) == _multiset(expected), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_bound_parameters_equal_union_of_substitutions(seed):
+    _check_bindings_equal_substitutions(
+        build_random_graph(random.Random(seed), plant_patterns=True)
+    )
+
+
+def test_bound_parameters_on_fixtures(vocab):
+    # the random graphs rarely match the loop-intermediate and unnecessary-
+    # transshipment templates; the two fixtures match every template
+    for build in (loop_scenario, unnecessary_scenario):
+        _check_bindings_equal_substitutions(build(vocab)[0])
+
+
+def test_bindings_are_checked(vocab):
+    graph, _ = loop_scenario(vocab)
+    lifted = substitute_nominals(load_query("loop_filtered"), {"port": Var("port")})
+    assert evaluate_rows(lifted, graph, bindings=[]) == []
+    with pytest.raises(UnresolvedNameError):
+        evaluate_rows(lifted, graph, bindings=[{"port": "port_nowhere_zz"}])
+    with pytest.raises(ValueError):
+        evaluate_rows(lifted, graph, bindings=[{"port": "port_p1_xx"}, {}])

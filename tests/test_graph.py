@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -217,6 +218,38 @@ def test_load_rejects_bad_version(tmp_path):
     other.write_text("something-else 1 0 0 0\n")
     with pytest.raises(GraphFormatError):
         KnowledgeGraph.load(str(other))
+
+
+@pytest.mark.parametrize("kind", ["concept", "individual", "edge"])
+def test_load_rejects_truncated_records(tmp_path, kind):
+    graph = KnowledgeGraph()
+    graph.add_concept("StuffedAtDepot", "TripStart")
+    graph.add_individual("port_a_xx", "Port", name="A", country="XX")
+    graph.add_individual("ce_1", "GateIn", label="1")
+    graph.add_edge("ce_1", "hasLocation", "port_a_xx")
+    graph.seal()
+    path = tmp_path / "g.kb"
+    graph.save(str(path))
+    lines = path.read_text().splitlines()
+    number = next(i for i, line in enumerate(lines, 1) if line.startswith(kind + " "))
+    lines[number - 1] = " ".join(lines[number - 1].split(" ")[:2])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError, match="line %d: malformed %s" % (number, kind)):
+        KnowledgeGraph.load(str(path))
+
+
+def test_failed_save_keeps_previous_file(tmp_path, vocab):
+    graph, _ = _table3_graph(vocab)
+    path = tmp_path / "g.kb"
+    graph.save(str(path))
+    before = path.read_bytes()
+    unencodable = KnowledgeGraph()
+    unencodable.add_individual("port_\udcff", "Port", name="X", country="XX")
+    unencodable.seal()
+    with pytest.raises(UnicodeEncodeError):
+        unencodable.save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["g.kb"]
 
 
 def test_attr_escaping_roundtrip(tmp_path):

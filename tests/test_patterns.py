@@ -1,7 +1,9 @@
 from datetime import date
+from itertools import count
 
 import pytest
 
+from cargokg import engine, patterns
 from cargokg.engine import evaluate
 from cargokg.patterns import (
     Detection,
@@ -12,12 +14,16 @@ from cargokg.patterns import (
     Verdict,
     detect,
     prune_by_date,
+    realized_destination_ports,
+    realized_source_ports,
     report_text,
     write_report_csv,
     REPORT_COLUMNS,
 )
+from cargokg.pipeline import run_pipeline
 from cargokg.queries import parse_query
 from cargokg.scanners import scan
+from cargokg.synthgen import GenConfig, generate
 
 from helpers import loop_scenario, unnecessary_scenario
 
@@ -232,14 +238,26 @@ def test_pattern_spec_validation():
         PatternSpec(PatternKind.LOOP, date_threshold_days=-1)
 
 
-def test_parallel_detection_matches_serial(vocab):
-    graph, _ = loop_scenario(vocab)
-    serial = detect(PatternKind.LOOP_INTERMEDIATE, graph, parallelism=1)
-    parallel = detect(PatternKind.LOOP_INTERMEDIATE, graph, parallelism=4)
-    assert [d.key() for d in serial] == [d.key() for d in parallel]
-
-
 def test_detect_deadline(vocab):
     graph, _ = loop_scenario(vocab)
     with pytest.raises(DetectTimeout):
         detect(PatternKind.LOOP, graph, deadline_seconds=-1)
+
+
+def test_detect_deadline_fires_between_pair_passes(monkeypatch):
+    # a clock that advances one second per reading: the deadline runs out at
+    # the eleventh anchor, after ten passes of the Loop pair sweep
+    records, _ = generate(GenConfig(seed=7, itinerary_count=60, port_count=30,
+                                    vessel_count=10, transshipment_rate=0.5))
+    graph = run_pipeline(records).graph
+    pairs = len(realized_source_ports(graph)) * len(realized_destination_ports(graph))
+    ticks = count()
+    monkeypatch.setattr(patterns.time, "monotonic", lambda: float(next(ticks)))
+    passes = []
+    run = engine._Pipeline.run
+    monkeypatch.setattr(
+        engine._Pipeline, "run", lambda self, binding: passes.append(binding) or run(self, binding)
+    )
+    with pytest.raises(DetectTimeout):
+        detect(PatternKind.LOOP, graph, variant="unfiltered", deadline_seconds=10.5)
+    assert len(passes) == 10 < pairs
