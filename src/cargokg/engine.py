@@ -23,24 +23,38 @@ Atoms are reordered greedily: nominal-anchored atoms first, then
 taxonomy-bounded atoms (subclass atoms, type atoms with a fixed concept),
 then role atoms sharing an already-bound variable; unconnected atoms (cross
 products) only when nothing else remains. The plan never changes the result,
-only the join order, and binds/filters run as soon as their inputs are
-bound.
+only the join order.
+
+Evaluation
+----------
+Each call compiles its plan once into steps that map a list of rows to a
+list of rows. Compiling knows which terms of an atom are constants, which
+earlier steps bound and which the atom binds, so every atom becomes one step
+of a single access mode (check, forward, backward or enumerate) with its
+role resolved and its adjacency lookup or transitive-closure memo at hand.
+Each bind and date filter is a step placed right after the step that binds
+its inputs (binds, then filters, until none is ready). Within a pass a row
+is a tuple indexed by slot: the query's individual constants, the
+parameters, then each variable in the order it is bound. ``evaluate``
+projects straight from the tuples; ``evaluate_rows`` turns them into dicts.
 
 Parameters
 ----------
 ``evaluate_rows`` takes bindings: rows that fix some variables (the
-parameters) to individuals before any atom runs. The query is planned once,
-with the parameters counted as nominals, and then runs one pipeline pass per
-binding; a parameter behaves exactly like a nominal constant with its bound
-value in that place. This is how one template runs over many anchor ports.
+parameters) to individuals before any atom runs. The query is planned and
+compiled once, with the parameters counted as nominals, and its steps then
+run one pass per binding; a parameter behaves exactly like a nominal
+constant with its bound value in that place. This is how one template runs
+over many anchor ports.
 """
 
+import operator
 from datetime import date
 from itertools import chain
-from typing import AbstractSet, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .diagnostics import Diagnostics, record
-from .graph import GraphError, KnowledgeGraph, SealedGraphError
+from .graph import GraphError, KnowledgeGraph, Role, SealedGraphError
 from .queries import (
     Atom,
     Const,
@@ -239,262 +253,381 @@ def plan(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Compilation and evaluation
 
+# One step of a compiled query: the rows of a pass after one atom, bind or
+# filter. A row is a tuple indexed by slot (see ``_Program``).
+Step = Callable[[List[tuple]], List[tuple]]
 
-def _literal(graph: KnowledgeGraph, value: str) -> str:
-    return graph.literal_form(value)
+_COMPARE = {
+    "<": operator.lt,
+    ">": operator.gt,
+    "<=": operator.le,
+    ">=": operator.ge,
+    "=": operator.eq,
+}
+_UNSEEN = object()
 
 
 def _coerce_date(graph: KnowledgeGraph, value: str) -> Optional[date]:
     try:
-        return date.fromisoformat(_literal(graph, value))
+        return date.fromisoformat(graph.literal_form(value))
     except ValueError:
         return None
 
 
-class _Pipeline:
-    """A planned query's join pipeline, run once per binding.
+def _once(build: Callable[[], List[tuple]]) -> Callable[[], List[tuple]]:
+    """``build()`` on first use, then its result: an enumeration that no row
+    reaches costs nothing."""
+    built: List[List[tuple]] = []
 
-    The transitive-closure memo serves every pass (closures do not depend on
-    the binding); the semi-join restrictor sets are rebuilt per pass.
+    def get() -> List[tuple]:
+        if not built:
+            built.append(build())
+        return built[0]
+
+    return get
+
+
+def _cross(extensions: Callable[[], List[tuple]]) -> Step:
+    """Every row extended by every tuple of ``extensions()``."""
+
+    def step(rows: List[tuple]) -> List[tuple]:
+        found = extensions()
+        return [row + extension for row in rows for extension in found]
+
+    return step
+
+
+def _expand(source: int, near, allowed: Callable[[], Optional[frozenset]]) -> Step:
+    """Every row extended by each neighbour of its ``source`` slot that the
+    pass's restrictor set allows; ``near(node, default)`` looks the
+    neighbours up the way ``dict.get`` does."""
+
+    def step(rows: List[tuple]) -> List[tuple]:
+        keep = allowed()
+        out: List[tuple] = []
+        add = out.append
+        for row in rows:
+            for node in near(row[source], ()):
+                if keep is None or node in keep:
+                    add(row + (node,))
+        return out
+
+    return step
+
+
+class _Program:
+    """A planned query compiled against one graph into steps (see the module
+    docstring), run once per binding.
+
+    ``slots`` maps each variable to its slot, in slot order; the query's
+    individual constants take the slots before the first variable. The
+    transitive-closure memos, one per role and direction, serve every pass
+    (closures do not depend on the binding); the semi-join restrictor sets
+    are built lazily per pass.
     """
 
     def __init__(
         self,
         graph: KnowledgeGraph,
         query: PatternQuery,
-        atoms: List[Atom],
-        params: AbstractSet[str],
+        atoms: Sequence[Atom],
+        params: Sequence[str],
         diagnostics: Optional[Diagnostics],
     ):
         self.graph = graph
-        self.query = query
-        self.atoms = atoms
         self.diagnostics = diagnostics
-        self._restrictor_specs = _nominal_restrictor_specs(graph, atoms, params)
-        self._restrictors: Dict[str, Optional[frozenset]] = {}
-        self._binding: Row = {}
-        self.memo_succ, self.memo_pred = {}, {}
+        constants: List[str] = []
+        for atom in atoms:
+            if isinstance(atom, SubclassAtom):
+                continue
+            ends = (atom.subject,) if isinstance(atom, TypeAtom) else (atom.subject, atom.object)
+            for term in ends:
+                if isinstance(term, Const) and term.name not in constants:
+                    constants.append(term.name)
+        self._head = tuple(constants)
+        self._constants = {name: slot for slot, name in enumerate(constants)}
+        self.slots: Dict[str, int] = {}
+        for name in params:
+            self._new_slot(name)
+        self._specs = _nominal_restrictor_specs(graph, atoms, frozenset(params))
+        self._restrictors: Dict[str, frozenset] = {}
+        self._row0: tuple = ()
+        self._memos: Dict[Tuple[str, str], dict] = {}
+        self._dates: Dict[str, Optional[date]] = {}
+        self.steps: List[Step] = []
+        binds, filters = list(query.binds), list(query.filters)
+        for atom in atoms:
+            self.steps.append(self._atom_step(atom))
+            self._schedule(binds, filters)
+        self._schedule(binds, filters)
 
-    def _allowed(self, term) -> Optional[frozenset]:
-        """Materialised lazily: passes whose joins die early never pay for
-        building the sets."""
-        if not isinstance(term, Var):
-            return None
-        name = term.name
-        if name in self._restrictors:
-            return self._restrictors[name]
-        specs = self._restrictor_specs.get(name)
-        allowed: Optional[frozenset] = None
-        if specs:
-            for role, end, direction in specs:
-                node = end.name if isinstance(end, Const) else self._binding[end.name]
-                members = (
-                    self.graph.objects(node, role)
-                    if direction == "objects"
-                    else self.graph.subjects(node, role)
-                )
-                allowed = (
-                    frozenset(members) if allowed is None else allowed & frozenset(members)
-                )
-        self._restrictors[name] = allowed
-        return allowed
-
-    def run(self, binding: Row) -> List[Row]:
-        """One pass, starting from the binding's row. Binds and filters run
-        as soon as their inputs are bound (filters only ever shrink the row
-        set, so early filters are safe and exactly what makes the
-        date-filtered variants fast)."""
-        self._binding = binding
-        self._restrictors = {}
-        rows: List[Row] = [dict(binding)]
-        pending_binds = list(self.query.binds)
-        pending_filters = list(self.query.filters)
-
-        def flush(rows: List[Row]) -> List[Row]:
-            progressed = True
-            while progressed:
-                progressed = False
-                for bind in list(pending_binds):
-                    if not rows or bind.source in rows[0]:
-                        if rows:
-                            rows = self.apply_bind(rows, bind)
-                        pending_binds.remove(bind)
-                        progressed = True
-                for flt in list(pending_filters):
-                    if not rows or (flt.lhs in rows[0] and flt.rhs in rows[0]):
-                        if rows:
-                            rows = self.apply_filter(rows, flt)
-                        pending_filters.remove(flt)
-                        progressed = True
-            return rows
-
-        for atom in self.atoms:
-            rows = self.extend(rows, atom)
+    def run(self, values: tuple) -> List[tuple]:
+        """One pass, from the row of the constants and the parameters'
+        values."""
+        self._row0 = self._head + values
+        self._restrictors.clear()
+        rows = [self._row0]
+        for step in self.steps:
+            rows = step(rows)
             if not rows:
-                return []
-            rows = flush(rows)
-        return flush(rows)
+                break
+        return rows
 
-    # -- atom matching ------------------------------------------------------
+    def as_dicts(self, rows: List[tuple]) -> List[Row]:
+        names = list(self.slots)
+        skip = len(self._head)
+        return [dict(zip(names, row[skip:])) for row in rows]
 
-    def extend(self, rows: List[Row], atom: Atom) -> List[Row]:
-        out: List[Row] = []
-        for row in rows:
-            out.extend(self.match(row, atom))
-        return out
+    # -- slots ----------------------------------------------------------------
 
-    def match(self, row: Row, atom: Atom) -> Iterator[Row]:
-        if isinstance(atom, TypeAtom):
-            yield from self.match_type(row, atom)
-        elif isinstance(atom, SubclassAtom):
-            yield from self.match_subclass(row, atom)
-        else:
-            yield from self.match_role(row, atom)
+    def _new_slot(self, name: str) -> None:
+        self.slots[name] = len(self._head) + len(self.slots)
 
-    def _value(self, row: Row, term) -> Optional[str]:
+    def _slot(self, term: Term) -> Optional[int]:
+        """The slot a term is read from, None while it is unbound."""
         if isinstance(term, Const):
-            return term.name
-        return row.get(term.name)
+            return self._constants[term.name]
+        return self.slots.get(term.name)
 
-    def match_type(self, row: Row, atom: TypeAtom) -> Iterator[Row]:
-        graph = self.graph
-        subject = self._value(row, atom.subject)
-        concept = self._value(row, atom.concept)
-        if subject is not None and subject not in graph.individuals:
-            return
-        if subject is not None and concept is not None:
-            if graph.taxonomy.resolve(concept) and graph.is_subclass(
-                graph.concept_of(subject), concept
-            ):
-                yield row
-            return
-        if subject is not None:
-            for ancestor in graph.taxonomy.ancestors_or_self(
-                graph.concept_of(subject)
-            ):
-                yield {**row, atom.concept.name: ancestor}
-            return
-        if concept is not None:
-            if graph.taxonomy.resolve(concept) is None:
-                return
-            for node in graph.instances_of(concept):
-                yield {**row, atom.subject.name: node}
-            return
-        for node in sorted(graph.individuals):
-            for ancestor in graph.taxonomy.ancestors_or_self(graph.concept_of(node)):
-                yield {**row, atom.subject.name: node, atom.concept.name: ancestor}
+    def _schedule(self, binds: List[SubstringBind], filters: List[DateCompare]) -> None:
+        """Append the binds, then the filters, whose inputs are bound, until
+        none is ready: filters only ever shrink the rows, so early filters
+        are safe and exactly what makes the date-filtered variants fast."""
+        progressed = True
+        while progressed:
+            progressed = False
+            for bind in list(binds):
+                if bind.source in self.slots:
+                    self.steps.append(self._bind_step(bind))
+                    binds.remove(bind)
+                    progressed = True
+            for flt in list(filters):
+                if flt.lhs in self.slots and flt.rhs in self.slots:
+                    self.steps.append(self._filter_step(flt))
+                    filters.remove(flt)
+                    progressed = True
 
-    def match_subclass(self, row: Row, atom: SubclassAtom) -> Iterator[Row]:
-        graph = self.graph
-        child = self._value(row, atom.child)
-        ancestor = atom.ancestor.name
-        if child is not None:
-            if graph.taxonomy.resolve(child) is None:
-                return  # bound to something that is not a concept
-            if graph.is_subclass(child, ancestor):
-                yield row
-            return
-        for concept in sorted(graph.taxonomy.descendants_or_self(ancestor)):
-            yield {**row, atom.child.name: concept}
+    # -- atoms ----------------------------------------------------------------
 
-    def match_role(self, row: Row, atom: RoleAtom) -> Iterator[Row]:
+    def _atom_step(self, atom: Atom) -> Step:
+        if isinstance(atom, RoleAtom):
+            return self._role_step(atom)
+        if isinstance(atom, TypeAtom):
+            return self._type_step(atom)
+        return self._subclass_step(atom)
+
+    def _role_step(self, atom: RoleAtom) -> Step:
         graph = self.graph
         role = graph.resolve_role(atom.role)
-        subject = self._value(row, atom.subject)
-        obj = self._value(row, atom.object)
-        if subject is not None and subject not in graph.individuals:
-            return
-        if obj is not None and obj not in graph.individuals:
-            return
-        if role.transitive:
-            if subject is not None and obj is not None:
-                if obj in graph.transitive_successors(subject, role.name, self.memo_succ):
-                    yield row
-            elif subject is not None:
-                allowed = self._allowed(atom.object)
-                for reached in graph.transitive_successors(
-                    subject, role.name, self.memo_succ
-                ):
-                    if allowed is not None and reached not in allowed:
-                        continue
-                    yield {**row, atom.object.name: reached}
-            elif obj is not None:
-                allowed = self._allowed(atom.subject)
-                for source in graph.transitive_predecessors(
-                    obj, role.name, self.memo_pred
-                ):
-                    if allowed is not None and source not in allowed:
-                        continue
-                    yield {**row, atom.subject.name: source}
-            else:
-                for source, _ in graph.role_pairs(role.name):
-                    for reached in graph.transitive_successors(
-                        source, role.name, self.memo_succ
-                    ):
-                        yield {
-                            **row,
-                            atom.subject.name: source,
-                            atom.object.name: reached,
-                        }
-            return
+
+        def lookup(direction: str):
+            if role.transitive:
+                return self._closure(role, direction)
+            return graph.adjacency(role.name, direction).get
+
+        subject, obj = self._slot(atom.subject), self._slot(atom.object)
         if subject is not None and obj is not None:
-            if obj in graph.objects(subject, role.name):
-                yield row
-        elif subject is not None:
-            allowed = self._allowed(atom.object)
-            for reached in graph.objects(subject, role.name):
-                if allowed is not None and reached not in allowed:
-                    continue
-                yield {**row, atom.object.name: reached}
-        elif obj is not None:
-            allowed = self._allowed(atom.subject)
-            for source in graph.subjects(obj, role.name):
-                if allowed is not None and source not in allowed:
-                    continue
-                yield {**row, atom.subject.name: source}
-        else:
-            for source, reached in graph.role_pairs(role.name):
-                yield {**row, atom.subject.name: source, atom.object.name: reached}
+            forward = lookup("out")
+            return lambda rows: [row for row in rows if row[obj] in forward(row[subject], ())]
+        if subject is not None:
+            step = _expand(subject, lookup("out"), self._restrictor(atom.object.name))
+            self._new_slot(atom.object.name)
+            return step
+        if obj is not None:
+            step = _expand(obj, lookup("in"), self._restrictor(atom.subject.name))
+            self._new_slot(atom.subject.name)
+            return step
+        # both ends unbound: each source once, with everything it reaches
+        sources, forward = graph.adjacency(role.name, "out"), lookup("out")
+        same = atom.subject == atom.object
 
-    # -- binds and filters ---------------------------------------------------
+        def pairs() -> List[tuple]:
+            found = []
+            for source in sorted(sources):
+                for reached in forward(source, ()):
+                    if not same:
+                        found.append((source, reached))
+                    elif reached == source:
+                        found.append((source,))
+            return found
 
-    def apply_bind(self, rows: List[Row], bind: SubstringBind) -> List[Row]:
-        out = []
-        for row in rows:
-            text = _literal(self.graph, row[bind.source])
-            value = text[bind.start - 1 : bind.start - 1 + bind.length]
-            out.append({**row, bind.target: value})
-        return out
+        self._new_slot(atom.subject.name)
+        if not same:
+            self._new_slot(atom.object.name)
+        return _cross(_once(pairs))
 
-    def apply_filter(self, rows: List[Row], flt: DateCompare) -> List[Row]:
-        out = []
-        for row in rows:
-            lhs = _coerce_date(self.graph, row[flt.lhs])
-            rhs = _coerce_date(self.graph, row[flt.rhs])
-            if lhs is None or rhs is None:
-                record(
-                    self.diagnostics,
-                    "filter_nondate",
-                    "row excluded: %s or %s is not a date"
-                    % (row.get(flt.lhs), row.get(flt.rhs)),
+    def _closure(self, role: Role, direction: str):
+        """A ``dict.get``-shaped lookup of the nodes a transitive role reaches
+        from a node ("out") or that reach it ("in"), checking this call's
+        memo before computing a closure."""
+        memo = self._memos.setdefault((role.name, direction), {})
+        graph = self.graph
+        compute = (
+            graph.transitive_successors if direction == "out" else graph.transitive_predecessors
+        )
+        name = role.name
+
+        def reach(node: str, _default) -> Tuple[str, ...]:
+            found = memo.get(node)
+            return found if found is not None else compute(node, name, memo)
+
+        return reach
+
+    def _restrictor(self, var: str) -> Callable[[], Optional[frozenset]]:
+        """The pass's semi-join set for ``var``, built on its first use in a
+        pass; None when no nominal-anchored atom restricts ``var``."""
+        specs = [
+            (self.graph.adjacency(role, direction), self._slot(end))
+            for role, end, direction in self._specs.get(var, ())
+        ]
+        if not specs:
+            return lambda: None
+        built = self._restrictors
+
+        def allowed() -> frozenset:
+            found = built.get(var)
+            if found is None:
+                for adjacency, end in specs:
+                    members = frozenset(adjacency.get(self._row0[end], ()))
+                    found = members if found is None else found & members
+                built[var] = found
+            return found
+
+        return allowed
+
+    def _type_step(self, atom: TypeAtom) -> Step:
+        graph = self.graph
+        individuals, taxonomy = graph.individuals, graph.taxonomy
+        subject = self._slot(atom.subject)
+        if isinstance(atom.concept, Const):
+            if subject is None:
+                self._new_slot(atom.subject.name)
+                members = graph.instances_of(atom.concept.name)
+                return _cross(_once(lambda: [(node,) for node in members]))
+            concepts = frozenset(taxonomy.descendants_or_self(atom.concept.name))
+
+            def check(rows: List[tuple]) -> List[tuple]:
+                out = []
+                for row in rows:
+                    ind = individuals.get(row[subject])
+                    if ind is not None and ind.concept in concepts:
+                        out.append(row)
+                return out
+
+            return check
+        concept = self._slot(atom.concept)
+        if subject is not None and concept is not None:
+
+            def holds(row: tuple) -> bool:
+                ind = individuals.get(row[subject])
+                resolved = taxonomy.resolve(row[concept])
+                return (
+                    ind is not None
+                    and resolved is not None
+                    and taxonomy.is_subclass(ind.concept, resolved)
                 )
-                continue
-            keep = (
-                lhs < rhs
-                if flt.op == "<"
-                else lhs > rhs
-                if flt.op == ">"
-                else lhs <= rhs
-                if flt.op == "<="
-                else lhs >= rhs
-                if flt.op == ">="
-                else lhs == rhs
-            )
-            if keep:
-                out.append(row)
-        return out
+
+            return lambda rows: [row for row in rows if holds(row)]
+        if subject is not None:
+            self._new_slot(atom.concept.name)
+
+            def ancestors(rows: List[tuple]) -> List[tuple]:
+                out = []
+                for row in rows:
+                    ind = individuals.get(row[subject])
+                    if ind is not None:
+                        for ancestor in taxonomy.ancestors_or_self(ind.concept):
+                            out.append(row + (ancestor,))
+                return out
+
+            return ancestors
+        if concept is not None:
+            self._new_slot(atom.subject.name)
+
+            def instances(rows: List[tuple]) -> List[tuple]:
+                out = []
+                for row in rows:
+                    resolved = taxonomy.resolve(row[concept])
+                    if resolved is not None:
+                        out.extend(row + (node,) for node in graph.instances_of(resolved))
+                return out
+
+            return instances
+        same = atom.subject == atom.concept
+
+        def pairs() -> List[tuple]:
+            found = []
+            for node in sorted(individuals):
+                for ancestor in taxonomy.ancestors_or_self(individuals[node].concept):
+                    if not same:
+                        found.append((node, ancestor))
+                    elif ancestor == node:
+                        found.append((node,))
+            return found
+
+        self._new_slot(atom.subject.name)
+        if not same:
+            self._new_slot(atom.concept.name)
+        return _cross(_once(pairs))
+
+    def _subclass_step(self, atom: SubclassAtom) -> Step:
+        taxonomy = self.graph.taxonomy
+        members = taxonomy.descendants_or_self(atom.ancestor.name)
+        if isinstance(atom.child, Const):
+            holds = taxonomy.is_subclass(atom.child.name, atom.ancestor.name)
+            return (lambda rows: rows) if holds else (lambda rows: [])
+        child = self._slot(atom.child)
+        if child is not None:
+            concepts = frozenset(members)
+            return lambda rows: [row for row in rows if taxonomy.resolve(row[child]) in concepts]
+        self._new_slot(atom.child.name)
+        found = [(concept,) for concept in sorted(members)]
+        return _cross(lambda: found)
+
+    # -- binds and filters ----------------------------------------------------
+
+    def _bind_step(self, bind: SubstringBind) -> Step:
+        source = self.slots[bind.source]
+        start, end = bind.start - 1, bind.start - 1 + bind.length
+        literal = self.graph.literal_form
+        target = self.slots.get(bind.target)
+        if target is None:
+            self._new_slot(bind.target)
+            return lambda rows: [row + (literal(row[source])[start:end],) for row in rows]
+        return lambda rows: [
+            row[:target] + (literal(row[source])[start:end],) + row[target + 1 :]
+            for row in rows
+        ]
+
+    def _filter_step(self, flt: DateCompare) -> Step:
+        lhs, rhs = self.slots[flt.lhs], self.slots[flt.rhs]
+        compare = _COMPARE[flt.op]
+        as_date = self._as_date
+        diagnostics = self.diagnostics
+
+        def step(rows: List[tuple]) -> List[tuple]:
+            out = []
+            for row in rows:
+                left, right = as_date(row[lhs]), as_date(row[rhs])
+                if left is None or right is None:
+                    record(
+                        diagnostics,
+                        "filter_nondate",
+                        "row excluded: %s or %s is not a date" % (row[lhs], row[rhs]),
+                    )
+                elif compare(left, right):
+                    out.append(row)
+            return out
+
+        return step
+
+    def _as_date(self, value: str) -> Optional[date]:
+        found = self._dates.get(value, _UNSEEN)
+        if found is _UNSEEN:
+            found = self._dates[value] = _coerce_date(self.graph, value)
+        return found
 
 
 def _nominal_restrictor_specs(
@@ -503,9 +636,10 @@ def _nominal_restrictor_specs(
     """Semi-join push-down: a variable that must also satisfy a
     nominal-anchored non-transitive role atom can only ever bind inside that
     atom's adjacency, so expansions binding it are filtered against the set
-    up front. The fixed end is a constant or a parameter. The anchored atom
-    itself still runs (then trivially), results are unchanged, but row
-    blow-up between the two atoms disappears."""
+    up front. The fixed end is a constant or a parameter; each spec is
+    (role, fixed end, adjacency direction from it). The anchored atom itself
+    still runs (then trivially), results are unchanged, but row blow-up
+    between the two atoms disappears."""
     specs: Dict[str, List[Tuple[str, Term, str]]] = {}
     for atom in atoms:
         if not isinstance(atom, RoleAtom):
@@ -515,13 +649,9 @@ def _nominal_restrictor_specs(
         subject_fixed = _nominal(atom.subject, params)
         object_fixed = _nominal(atom.object, params)
         if subject_fixed and not object_fixed:
-            specs.setdefault(atom.object.name, []).append(
-                (atom.role, atom.subject, "objects")
-            )
+            specs.setdefault(atom.object.name, []).append((atom.role, atom.subject, "out"))
         elif object_fixed and not subject_fixed:
-            specs.setdefault(atom.subject.name, []).append(
-                (atom.role, atom.object, "subjects")
-            )
+            specs.setdefault(atom.subject.name, []).append((atom.role, atom.object, "in"))
     return specs
 
 
@@ -531,30 +661,33 @@ def _run_pipeline(
     diagnostics: Optional[Diagnostics],
     atom_order: Optional[Sequence[Atom]] = None,
     bindings: Optional[Iterable[Row]] = None,
-) -> List[Row]:
-    """Plan once for the variables the first binding fixes, then run one
-    pass per binding, in order, taking the bindings lazily."""
+) -> Tuple[Optional[_Program], List[tuple]]:
+    """Plan and compile once for the variables the first binding fixes,
+    then run one pass per binding, in order, taking the bindings lazily.
+    Returns the program (None without bindings) and its tuple rows."""
     if not graph.sealed:
         raise SealedGraphError("queries run against sealed graphs only")
     passes = iter([{}] if bindings is None else bindings)
     first = next(passes, None)
     if first is None:
-        return []
-    params = frozenset(first)
-    atoms = list(atom_order) if atom_order is not None else plan(query, graph, params)
-    pipeline = _Pipeline(graph, query, atoms, params, diagnostics)
-    rows: List[Row] = []
+        return None, []
+    params = tuple(first)
+    fixed = frozenset(params)
+    atoms = list(atom_order) if atom_order is not None else plan(query, graph, fixed)
+    program = _Program(graph, query, atoms, params, diagnostics)
+    rows: List[tuple] = []
     for binding in chain([first], passes):
-        if binding.keys() != params:
+        if binding.keys() != fixed:
             raise ValueError(
                 "every binding must fix the same variables: %s, not %s"
-                % (sorted(params), sorted(binding))
+                % (sorted(fixed), sorted(binding))
             )
-        for node in binding.values():
+        values = tuple(binding[name] for name in params)
+        for node in values:
             if node not in graph.individuals:
                 raise UnresolvedNameError("unknown individual %r" % node)
-        rows.extend(pipeline.run(binding))
-    return rows
+        rows.extend(program.run(values))
+    return program, rows
 
 
 def evaluate(
@@ -568,8 +701,14 @@ def evaluate(
     ``atom_order`` overrides the planner (it must be a reordering of the
     query's resolved atoms); results are identical for any legal order.
     """
-    rows = _run_pipeline(query, graph, diagnostics, atom_order)
-    projected = [tuple(row[name] for name in query.projection) for row in rows]
+    program, rows = _run_pipeline(query, graph, diagnostics, atom_order)
+    projected: List[Tuple[str, ...]] = []
+    if rows:
+        pick = operator.itemgetter(*(program.slots[name] for name in query.projection))
+        if len(query.projection) == 1:
+            projected = [(pick(row),) for row in rows]
+        else:
+            projected = [pick(row) for row in rows]
     if query.distinct:
         projected = list(dict.fromkeys(projected))
     projected.sort()
@@ -590,4 +729,5 @@ def evaluate_rows(
     carrying the binding's values. One binding gives the same rows as
     substituting its values for the variables as nominals.
     """
-    return _run_pipeline(query, graph, diagnostics, bindings=bindings)
+    program, rows = _run_pipeline(query, graph, diagnostics, bindings=bindings)
+    return program.as_dicts(rows) if rows else []

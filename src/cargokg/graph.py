@@ -28,7 +28,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
 from .events import Location, TopClass, slug, timestamp_literal
@@ -46,7 +46,8 @@ class GraphTypeError(GraphError):
 
 
 class GraphFormatError(GraphError):
-    """A serialized graph file has the wrong magic or version."""
+    """A serialized graph file is malformed: wrong magic or version, or a
+    truncated or corrupt record."""
 
 
 class SealedGraphError(GraphError):
@@ -54,6 +55,21 @@ class SealedGraphError(GraphError):
 
 
 _NORM_RE = re.compile(r"[^a-z0-9]")
+# a "%" that does not start a two-digit hex escape
+_BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+
+
+def _unescape(value: str) -> Optional[str]:
+    """A saved attribute value, or None if its percent-escapes are malformed
+    or do not decode as UTF-8 (loading it would not save back the same)."""
+    if "%" not in value:
+        return value
+    if _BAD_ESCAPE.search(value):
+        return None
+    try:
+        return unquote(value, errors="strict")
+    except UnicodeDecodeError:
+        return None
 
 
 def _norm(name: str) -> str:
@@ -272,6 +288,7 @@ class KnowledgeGraph:
         self._instances_exact: Dict[str, List[str]] = {}
         self._instances_closure: Dict[str, List[str]] = {}
         self._branching: Dict[str, Tuple[float, float]] = {}
+        self._guarded: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
         self._edge_checks: Dict[Tuple[str, str, str], Tuple[bool, bool]] = {}
         self.sealed = False
 
@@ -397,41 +414,50 @@ class KnowledgeGraph:
         return cached
 
     def _guard(self, role: Role, node_id: str, end: str) -> bool:
-        if role.alias_of is None:
-            return True
+        """An alias role's restriction of one end to its domain or range."""
         bound = role.domain if end == "domain" else role.range
         return self.taxonomy.is_subclass(self.concept_of(node_id), bound)
 
-    def objects(self, subject: str, role_name: str) -> List[str]:
+    def adjacency(self, role_name: str, direction: str) -> Mapping[str, List[str]]:
+        """Direct neighbours along a role, for a sealed graph: ``"out"`` maps
+        each subject to its objects, ``"in"`` each object to its subjects,
+        sorted. Read-only.
+
+        An alias role's map keeps its domain/range guard: it holds every node
+        of the guarded end (with an empty list if nothing passes), and only
+        the neighbours that pass the other end's guard. It is built on first
+        use and kept.
+        """
+        if not self.sealed:
+            raise SealedGraphError("adjacency lookups require a sealed graph")
         role = self.resolve_role(role_name)
-        base = self.base_role(role).name
-        out = self._out[base].get(subject, [])
+        index = self._out if direction == "out" else self._in
+        base = index[self.base_role(role).name]
         if role.alias_of is None:
-            return out
-        if not self._guard(role, subject, "domain"):
-            return []
-        return [o for o in out if self._guard(role, o, "range")]
+            return base
+        key = (role.name, direction)
+        guarded = self._guarded.get(key)
+        if guarded is None:
+            near, far = ("domain", "range") if direction == "out" else ("range", "domain")
+            guarded = {
+                node: [n for n in nodes if self._guard(role, n, far)]
+                for node, nodes in base.items()
+                if self._guard(role, node, near)
+            }
+            self._guarded[key] = guarded
+        return guarded
+
+    def objects(self, subject: str, role_name: str) -> List[str]:
+        return self.adjacency(role_name, "out").get(subject, [])
 
     def subjects(self, obj: str, role_name: str) -> List[str]:
-        role = self.resolve_role(role_name)
-        base = self.base_role(role).name
-        out = self._in[base].get(obj, [])
-        if role.alias_of is None:
-            return out
-        if not self._guard(role, obj, "range"):
-            return []
-        return [s for s in out if self._guard(role, s, "domain")]
+        return self.adjacency(role_name, "in").get(obj, [])
 
     def role_pairs(self, role_name: str) -> Iterator[Tuple[str, str]]:
         """All direct (subject, object) pairs of a role, sorted."""
-        role = self.resolve_role(role_name)
-        base = self.base_role(role).name
-        for subject in sorted(self._out[base]):
-            if role.alias_of is not None and not self._guard(role, subject, "domain"):
-                continue
-            for obj in self._out[base][subject]:
-                if role.alias_of is not None and not self._guard(role, obj, "range"):
-                    continue
+        adjacency = self.adjacency(role_name, "out")
+        for subject in sorted(adjacency):
+            for obj in adjacency[subject]:
                 yield subject, obj
 
     def edge_count(self) -> int:
@@ -604,7 +630,12 @@ class KnowledgeGraph:
                     attrs = {}
                     for chunk in parts[3:]:
                         key, _, value = chunk.partition("=")
-                        attrs[key] = unquote(value)
+                        text = _unescape(value)
+                        if text is None:
+                            raise GraphFormatError(
+                                "line %d: bad percent-escape in attribute %r" % (number, chunk)
+                            )
+                        attrs[key] = text
                     graph.add_individual(parts[1], parts[2], **attrs)
                 elif kind == "concept" and len(parts) == 3:
                     graph.add_concept(parts[1], parts[2])

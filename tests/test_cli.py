@@ -161,6 +161,12 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "line 2: malformed edge record" in err
 
+    escaped = tmp_path / "escape.kb"
+    escaped.write_text("cargokg-graph 1 0 1 0\nindividual port_x Port name=Bad%zzName\n")
+    code, _, err = _run(capsys, "detect", "loop", "--kb", str(escaped))
+    assert code == 1
+    assert "line 2: bad percent-escape" in err and "Traceback" not in err
+
     qfile = tmp_path / "broken.pq"
     qfile.write_text("SELECT ?x WHERE { ?x a st:Port .")
     code, _, err = _run(capsys, "query", str(qfile), "--kb", str(bad))

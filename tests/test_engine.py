@@ -1,6 +1,6 @@
 import random
 from datetime import date
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,3 +275,85 @@ def test_bindings_are_checked(vocab):
         evaluate_rows(lifted, graph, bindings=[{"port": "port_nowhere_zz"}])
     with pytest.raises(ValueError):
         evaluate_rows(lifted, graph, bindings=[{"port": "port_p1_xx"}, {}])
+
+
+def _agrees_with_oracle_in_every_order(query, graph):
+    expected = oracle_evaluate(query, graph)
+    for order in permutations(resolve_names(query, graph)):
+        got = evaluate(query, graph, atom_order=list(order)).rows
+        assert sorted(got) == expected, order
+    return expected
+
+
+def _arrivals_graph():
+    g = KnowledgeGraph()
+    for node in "abcd":
+        g.add_individual(node, "Arrival")
+    for s, o in [("a", "b"), ("a", "c"), ("b", "d")]:
+        g.add_edge(s, "hasNextEvent", o)
+    g.seal()
+    return g
+
+
+def test_unbound_transitive_atom_lists_each_pair_once():
+    graph = _arrivals_graph()
+    expected = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "d")]
+    bare = parse_query("SELECT ?x ?y WHERE { ?x st:hasNextEvent ?y . }")
+    assert evaluate(bare, graph).rows == expected
+    typed = parse_query("SELECT ?x ?y WHERE { ?x a st:Arrival . ?x st:hasNextEvent ?y . }")
+    assert _agrees_with_oracle_in_every_order(typed, graph) == expected
+
+
+def test_closures_of_a_role_and_its_alias_are_kept_apart():
+    # ve_2's hasNextEvent predecessors include a container event; its
+    # hasNextVesselEvent predecessors do not, whichever closure runs first
+    g = KnowledgeGraph()
+    g.add_individual("ce_1", "GateIn")
+    g.add_individual("ve_0", "Departure")
+    g.add_individual("ve_2", "Arrival")
+    g.add_edge("ce_1", "hasNextEvent", "ve_2")
+    g.add_edge("ve_0", "hasNextEvent", "ve_2")
+    g.seal()
+    query = parse_query(
+        "SELECT ?x ?y WHERE { ?z a st:Arrival . ?x st:hasNextEvent ?z . "
+        "?y st:hasNextVesselEvent ?z . }"
+    )
+    assert _agrees_with_oracle_in_every_order(query, g) == [("ce_1", "ve_0"), ("ve_0", "ve_0")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # both ends unbound: direct, transitive, alias, one variable twice
+        "SELECT ?x ?y WHERE { ?x st:hasLocation ?y . }",
+        "SELECT ?x ?y WHERE { ?x st:hasNextEvent ?y . }",
+        "SELECT ?x ?y WHERE { ?x st:hasNextVesselEvent ?y . }",
+        "SELECT ?x WHERE { ?x st:hasNextEvent ?x . }",
+        # type atom with both terms unbound, and a class variable's modes
+        "SELECT ?x ?c WHERE { ?x a ?c . }",
+        "SELECT ?e ?c WHERE { ?c rdfs:subClassOf st:VesselEvent . ?e a ?c . }",
+        "SELECT ?e ?c WHERE { ?e a ?c . ?e st:hasVPort ?p . ?c rdfs:subClassOf st:Event . }",
+        # alias roles joined along both directions
+        "SELECT ?v ?w ?p WHERE { ?v st:hasVPort ?p . ?v st:hasNextVesselEvent ?w . "
+        "?w st:hasVPort ?p . }",
+        # a class variable used as a role subject binds no individual
+        "SELECT ?c ?p WHERE { ?e a ?c . ?c st:hasLocation ?p . }",
+    ],
+)
+def test_access_modes_agree_with_oracle_in_every_order(vocab, text):
+    graph, _ = loop_scenario(vocab)
+    _agrees_with_oracle_in_every_order(parse_query(text), graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_shuffled_atom_orders_agree_with_oracle(seed):
+    rng = random.Random(seed)
+    graph = build_random_graph(rng)
+    for _ in range(3):
+        query = build_random_query(rng, graph)
+        expected = oracle_evaluate(query, graph)
+        atoms = resolve_names(query, graph)
+        for _ in range(3):
+            rng.shuffle(atoms)
+            assert sorted(evaluate(query, graph, atom_order=atoms).rows) == expected

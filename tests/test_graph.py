@@ -238,6 +238,27 @@ def test_load_rejects_truncated_records(tmp_path, kind):
         KnowledgeGraph.load(str(path))
 
 
+@pytest.mark.parametrize("value", ["Bad%zzName", "Bad%2", "Bad%", "Bad%FFName"])
+def test_load_rejects_bad_percent_escapes(tmp_path, value):
+    path = tmp_path / "g.kb"
+    path.write_text(
+        "cargokg-graph 1 0 2 0\n"
+        "individual port_a_xx Port country=XX name=A\n"
+        "individual port_x Port name=%s\n" % value
+    )
+    with pytest.raises(GraphFormatError, match="line 3: bad percent-escape"):
+        KnowledgeGraph.load(str(path))
+
+
+def test_percent_escapes_round_trip(tmp_path):
+    graph = KnowledgeGraph()
+    graph.add_individual("port_x", "Port", name="Bad%zz Name/é")
+    graph.seal()
+    path = tmp_path / "g.kb"
+    graph.save(str(path))
+    assert KnowledgeGraph.load(str(path)).attr("port_x", "name") == "Bad%zz Name/é"
+
+
 def test_failed_save_keeps_previous_file(tmp_path, vocab):
     graph, _ = _table3_graph(vocab)
     path = tmp_path / "g.kb"

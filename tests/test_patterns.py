@@ -254,9 +254,9 @@ def test_detect_deadline_fires_between_pair_passes(monkeypatch):
     ticks = count()
     monkeypatch.setattr(patterns.time, "monotonic", lambda: float(next(ticks)))
     passes = []
-    run = engine._Pipeline.run
+    run = engine._Program.run
     monkeypatch.setattr(
-        engine._Pipeline, "run", lambda self, binding: passes.append(binding) or run(self, binding)
+        engine._Program, "run", lambda self, values: passes.append(values) or run(self, values)
     )
     with pytest.raises(DetectTimeout):
         detect(PatternKind.LOOP, graph, variant="unfiltered", deadline_seconds=10.5)
