@@ -13,6 +13,13 @@ ports saturates while itineraries grow).
 Detections found are reported as the number of Suspicious verdicts; for a
 fixed dataset that count is identical across variants and repetitions
 (performance knobs never change answers).
+
+A cell's memory figure is the process's peak RSS so far, read after the
+cell: it covers every earlier size and cell too, so it never decreases
+from one cell to the next. A cell's time is the median over its
+repetitions; with one repetition it includes the first call's cache fill
+(the parsed template and the shared graph's lazily built instance,
+branching and alias-adjacency maps).
 """
 
 import csv
@@ -22,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .patterns import DetectTimeout, PatternKind, Verdict, detect
+from .patterns import DEFAULT_DATE_THRESHOLD_DAYS, DetectTimeout, PatternKind, Verdict, detect
 from .pipeline import run_pipeline
 from .synthgen import GenConfig, generate
 
@@ -59,7 +66,7 @@ class BenchResult:
     repetitions: int
     median_seconds: float
     detections_found: int
-    peak_memory_kb: int
+    peak_memory_kb: int  # process peak RSS so far: never decreases across cells
     status: str  # "ok" or "dnf"
 
 
@@ -84,7 +91,7 @@ def run_suite(
     sizes: Sequence[int] = (5000, 10000, 15000, 20000),
     patterns: Sequence[str] = ("loop", "unnecessary_transshipment"),
     repetitions: int = 3,
-    threshold_days: int = 3,
+    threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS,
     seed: int = 42,
     injected_per_kind: int = 5,
     timeout_seconds: Optional[float] = None,

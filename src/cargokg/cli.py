@@ -33,19 +33,23 @@ from .events import (
     read_csm_csv,
     write_csm_csv,
 )
-from .graph import GraphError, KnowledgeGraph, populate
-from .linking import VesselEventIndex, bind_transshipments, write_bindings
+# populate stays importable from here: the chain benchmark's tracer test
+# checks that its wrapper reaches every module holding the name
+from .graph import GraphError, KnowledgeGraph, populate  # noqa: F401
+from .linking import DEFAULT_MATCH_WINDOW_DAYS, write_bindings
 from .patterns import (
+    DEFAULT_DATE_THRESHOLD_DAYS,
     PatternKind,
     Verdict,
     detect as run_detect,
     report_text,
     write_report_csv,
 )
+from .pipeline import build, ingest
 from .queries import QuerySyntaxError, parse_query, substitute_nominals
 from .segmentation import read_itineraries, write_itineraries
 from .synthgen import GenConfig, InfeasibleConfigError, generate
-from .vessels import reconstruct_all, write_vessel_stage
+from .vessels import DEFAULT_CLUSTER_WINDOW_DAYS, write_vessel_stage
 
 log = logging.getLogger("cargokg")
 
@@ -56,9 +60,9 @@ CONFIG_ENV_VAR = "CARGOKG_CONFIG"
 class PipelineConfig:
     """Defaults shared by the subcommands; all overridable per flag."""
 
-    threshold_days: int = 3
-    cluster_window_days: int = 7
-    match_window_days: int = 3
+    threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS
+    cluster_window_days: int = DEFAULT_CLUSTER_WINDOW_DAYS
+    match_window_days: int = DEFAULT_MATCH_WINDOW_DAYS
     seed: int = 42
     vocabulary: Optional[str] = None
 
@@ -192,8 +196,6 @@ def _load_vocab(path: Optional[str]) -> VocabularyMap:
 
 
 def _cmd_ingest(args, config: PipelineConfig) -> int:
-    from .segmentation import events_from_records, segment_all
-
     vocab = _load_vocab(args.vocab or config.vocabulary)
     diagnostics = Diagnostics()
     records = read_csm_csv(
@@ -202,8 +204,7 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
         diagnostics=diagnostics,
         on_error=args.on_error,
     )
-    per_container = events_from_records(records, vocab)
-    itineraries = segment_all(per_container)
+    per_container, itineraries = ingest(records, vocab)
     write_itineraries(args.out_itineraries, args.out_events, itineraries)
     print(
         "records=%d containers=%d itineraries=%d skipped_rows=%d "
@@ -222,7 +223,6 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
 
 def _cmd_build_kb(args, config: PipelineConfig) -> int:
     itineraries = read_itineraries(args.itineraries, args.events)
-    flat = [e for it in itineraries for e in it.events]
     diagnostics = Diagnostics()
     cluster = (
         args.cluster_window_days
@@ -234,20 +234,17 @@ def _cmd_build_kb(args, config: PipelineConfig) -> int:
         if args.match_window_days is not None
         else config.match_window_days
     )
-    calls, vessel_events, trips = reconstruct_all(flat, cluster, diagnostics)
-    bindings = bind_transshipments(
-        itineraries, VesselEventIndex(vessel_events), match, diagnostics
-    )
+    result = build(itineraries, cluster, match, diagnostics)
     if args.out_vessel_events or args.out_trips:
         write_vessel_stage(
             args.out_vessel_events or os.devnull,
             args.out_trips or os.devnull,
-            vessel_events,
-            trips,
+            result.vessel_events,
+            result.trips,
         )
     if args.out_bindings:
-        write_bindings(args.out_bindings, bindings)
-    graph = populate(itineraries, vessel_events, trips, bindings)
+        write_bindings(args.out_bindings, result.bindings)
+    graph = result.graph
     graph.save(args.out)
     counts = graph.count_by_concept()
     print(
@@ -261,7 +258,7 @@ def _cmd_build_kb(args, config: PipelineConfig) -> int:
             counts.get("Vessel", 0),
             counts.get("Port", 0),
             counts.get("VesselTrip", 0),
-            len(bindings),
+            len(result.bindings),
             diagnostics.count("unbound_load") + diagnostics.count("unbound_discharge"),
         )
     )

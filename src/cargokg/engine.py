@@ -160,7 +160,11 @@ def _nominal(term, params: AbstractSet[str]) -> bool:
 
 
 def _estimate(
-    graph: KnowledgeGraph, atom: Atom, bound: set, params: AbstractSet[str]
+    graph: KnowledgeGraph,
+    atom: Atom,
+    bound: set,
+    params: AbstractSet[str],
+    restricted: AbstractSet[str],
 ) -> Tuple[int, float]:
     """(tier, expected row multiplier) for the greedy planner.
 
@@ -169,7 +173,11 @@ def _estimate(
     cross product. Within a tier lower multipliers win, so row-killing atoms
     run before row-multiplying ones. A constant's lookup is sized exactly; a
     parameter's value is not known yet, so it is sized by the role's mean
-    branching.
+    branching. A join into a ``restricted`` variable keeps only the members
+    of its semi-join set (see ``_nominal_restrictor_specs``), so it is sized
+    like a check, however far its role reaches; sized by branching, such a
+    transitive join tied with plain joins and the plan flipped with the
+    dataset's size.
     """
     vars_ = _atom_vars(atom)
     unbound = [v for v in vars_ if v not in bound]
@@ -191,9 +199,9 @@ def _estimate(
                 in_branch = len(graph.subjects(atom.object.name, atom.role))
             return 0, in_branch * factor
         if subject_fixed:
-            return 2, out_branch * factor
+            return 2, 1 if atom.object.name in restricted else out_branch * factor
         if object_fixed:
-            return 2, in_branch * factor
+            return 2, 1 if atom.subject.name in restricted else in_branch * factor
         return 3, max(graph.edge_count(), 1) * factor
     if isinstance(atom, SubclassAtom):
         if _nominal(atom.child, params) or not unbound:
@@ -232,6 +240,7 @@ def plan(
     # a shared parameter does not connect two atoms: joining through it
     # would be a cross product per binding
     free = [[v for v in _atom_vars(atom) if v not in params] for atom in atoms]
+    restricted = frozenset(_nominal_restrictor_specs(graph, atoms, params))
     remaining = list(enumerate(atoms))
     order: List[Atom] = []
     joined: set = set()  # bound by the atoms placed so far
@@ -240,7 +249,7 @@ def plan(
 
         def key(item):
             index, atom = item
-            tier, size = _estimate(graph, atom, bound, params)
+            tier, size = _estimate(graph, atom, bound, params, restricted)
             vars_ = free[index]
             connected = (not joined) or any(v in joined for v in vars_) or not vars_
             return (0 if connected else 1, tier, size, index)
@@ -460,8 +469,8 @@ class _Program:
 
     def _closure(self, role: Role, direction: str):
         """A ``dict.get``-shaped lookup of the nodes a transitive role reaches
-        from a node ("out") or that reach it ("in"), checking this call's
-        memo before computing a closure."""
+        from a node ("out") or that reach it ("in"), through this call's memo:
+        the only place closures are memoised."""
         memo = self._memos.setdefault((role.name, direction), {})
         graph = self.graph
         compute = (
@@ -471,7 +480,9 @@ class _Program:
 
         def reach(node: str, _default) -> Tuple[str, ...]:
             found = memo.get(node)
-            return found if found is not None else compute(node, name, memo)
+            if found is None:
+                found = memo[node] = compute(node, name)
+            return found
 
         return reach
 

@@ -10,13 +10,14 @@ Concept and role names follow one canonical spelling, but lookups accept the
 underscore spellings used in query files (``Container_itinerary``,
 ``Transshipment_Event``, ``hasNextVesselEvent``); the last two are genuine
 aliases, the rest normalise automatically. ``hasNextVesselEvent`` and
-``hasVPort`` are stored through their base roles and restricted to vessel
-event endpoints at lookup time.
+``hasVPort`` are stored through their base roles and restricted at lookup
+time to their own domain and range: a pair holds only when both ends' concepts
+fall under them, whichever end a lookup starts from.
 
 A graph is built single-writer, then sealed; afterwards it is immutable and
 safe to share across any number of concurrent query evaluators. Transitive
-closure is computed on demand (chains are short) and optionally memoised
-per query; memo entries are insert-only and idempotent.
+closure is computed on demand (chains are short) and is a pure function of
+the sealed graph; the engine memoises closures per query call.
 
 Timestamp individuals carry the canonical literal ``"<Dow> YYYY-MM-DD"``:
 the ISO date sits at 1-indexed offset 5, length 10, which is what the
@@ -34,7 +35,7 @@ from urllib.parse import quote, unquote
 from .events import Location, TopClass, slug, timestamp_literal
 from .linking import BindingKind, TransshipmentBinding
 from .segmentation import ContainerItinerary
-from .vessels import VesselEvent, VesselEventKind, VesselTrip
+from .vessels import VesselEvent, VesselEventKind, VesselTrip, vessel_key
 
 
 class GraphError(ValueError):
@@ -289,6 +290,9 @@ class KnowledgeGraph:
         self._instances_closure: Dict[str, List[str]] = {}
         self._branching: Dict[str, Tuple[float, float]] = {}
         self._guarded: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
+        # (alias role, direction) -> concepts admitted at the (near, far) ends
+        # of a lookup in that direction
+        self._alias_ends: Dict[Tuple[str, str], Tuple[frozenset, frozenset]] = {}
         self._edge_checks: Dict[Tuple[str, str, str], Tuple[bool, bool]] = {}
         self.sealed = False
 
@@ -364,7 +368,8 @@ class KnowledgeGraph:
         self._edge_count += 1
 
     def seal(self) -> None:
-        """Freeze the graph: sort adjacency, build the instance index."""
+        """Freeze the graph: sort adjacency, build the instance index and the
+        alias roles' admitted concepts."""
         if self.sealed:
             return
         self.taxonomy.validate_acyclic()
@@ -378,6 +383,12 @@ class KnowledgeGraph:
             if ind.concept == "Port":
                 self.port_nominals[ind.attrs.get("name", node_id)] = node_id
         self._instances_exact = {c: sorted(ids) for c, ids in by_concept.items()}
+        for role in self.roles.values():
+            if role.alias_of is not None:
+                domain = frozenset(self.taxonomy.descendants_or_self(role.domain))
+                range_ = frozenset(self.taxonomy.descendants_or_self(role.range))
+                self._alias_ends[role.name, "out"] = (domain, range_)
+                self._alias_ends[role.name, "in"] = (range_, domain)
         self.sealed = True
 
     # -- read access --------------------------------------------------------
@@ -413,36 +424,33 @@ class KnowledgeGraph:
             self._instances_closure[concept] = cached
         return cached
 
-    def _guard(self, role: Role, node_id: str, end: str) -> bool:
-        """An alias role's restriction of one end to its domain or range."""
-        bound = role.domain if end == "domain" else role.range
-        return self.taxonomy.is_subclass(self.concept_of(node_id), bound)
-
     def adjacency(self, role_name: str, direction: str) -> Mapping[str, List[str]]:
         """Direct neighbours along a role, for a sealed graph: ``"out"`` maps
         each subject to its objects, ``"in"`` each object to its subjects,
         sorted. Read-only.
 
-        An alias role's map keeps its domain/range guard: it holds every node
-        of the guarded end (with an empty list if nothing passes), and only
-        the neighbours that pass the other end's guard. It is built on first
-        use and kept.
+        An alias role's map holds the nodes of its near end that have a base
+        role edge (with an empty list if no neighbour passes), and as their
+        neighbours only nodes of its far end. It is built on first use and
+        kept.
         """
         if not self.sealed:
             raise SealedGraphError("adjacency lookups require a sealed graph")
         role = self.resolve_role(role_name)
         index = self._out if direction == "out" else self._in
         base = index[self.base_role(role).name]
-        if role.alias_of is None:
-            return base
         key = (role.name, direction)
+        ends = self._alias_ends.get(key)
+        if ends is None:
+            return base
         guarded = self._guarded.get(key)
         if guarded is None:
-            near, far = ("domain", "range") if direction == "out" else ("range", "domain")
+            near, far = ends
+            individuals = self.individuals
             guarded = {
-                node: [n for n in nodes if self._guard(role, n, far)]
+                node: [n for n in nodes if individuals[n].concept in far]
                 for node, nodes in base.items()
-                if self._guard(role, node, near)
+                if individuals[node].concept in near
             }
             self._guarded[key] = guarded
         return guarded
@@ -488,67 +496,34 @@ class KnowledgeGraph:
     # -- transitive closure -------------------------------------------------
 
     def transitive_successors(
-        self,
-        node_id: str,
-        role_name: str = "hasNextEvent",
-        memo: Optional[Dict[str, Tuple[str, ...]]] = None,
+        self, node_id: str, role_name: str = "hasNextEvent"
     ) -> Tuple[str, ...]:
-        """Reflexive-free transitive closure of direct edges from ``node_id``.
-
-        Requires a sealed graph and a transitive role. With an optional memo
-        dict the closure of shared suffixes is reused within one query.
-        """
-        if not self.sealed:
-            raise SealedGraphError("transitive closure requires a sealed graph")
-        role = self.resolve_role(role_name)
-        if not role.transitive:
-            raise GraphError("role %s is not transitive" % role.name)
-        if memo is not None and node_id in memo:
-            return memo[node_id]
-        base = self.base_role(role).name
-        adjacency = self._out[base]
-        seen: Set[str] = set()
-        order: List[str] = []
-        stack = list(adjacency.get(node_id, ()))
-        while stack:
-            cursor = stack.pop()
-            if cursor in seen or cursor == node_id:
-                continue
-            if memo is not None and cursor in memo:
-                for reached in memo[cursor]:
-                    if reached not in seen and reached != node_id:
-                        seen.add(reached)
-                        order.append(reached)
-                seen.add(cursor)
-                order.append(cursor)
-                continue
-            seen.add(cursor)
-            order.append(cursor)
-            stack.extend(adjacency.get(cursor, ()))
-        result = tuple(sorted(order))
-        if role.alias_of is not None:
-            result = tuple(
-                n for n in result if self._guard(role, n, "range")
-            )
-        if memo is not None:
-            memo[node_id] = result
-        return result
+        """Reflexive-free transitive closure of direct edges from ``node_id``,
+        sorted. Requires a sealed graph and a transitive role."""
+        return self._closure(node_id, role_name, "out")
 
     def transitive_predecessors(
-        self,
-        node_id: str,
-        role_name: str = "hasNextEvent",
-        memo: Optional[Dict[str, Tuple[str, ...]]] = None,
+        self, node_id: str, role_name: str = "hasNextEvent"
     ) -> Tuple[str, ...]:
+        """The nodes whose transitive closure reaches ``node_id``, sorted."""
+        return self._closure(node_id, role_name, "in")
+
+    def _closure(self, node_id: str, role_name: str, direction: str) -> Tuple[str, ...]:
+        """Walk the base role's direct edges from ``node_id``; an alias role
+        answers nothing from a start outside its near end and keeps only the
+        reached nodes inside its far end."""
         if not self.sealed:
             raise SealedGraphError("transitive closure requires a sealed graph")
         role = self.resolve_role(role_name)
         if not role.transitive:
             raise GraphError("role %s is not transitive" % role.name)
-        if memo is not None and node_id in memo:
-            return memo[node_id]
-        base = self.base_role(role).name
-        adjacency = self._in[base]
+        index = self._out if direction == "out" else self._in
+        adjacency = index[self.base_role(role).name]
+        ends = self._alias_ends.get((role.name, direction))
+        if ends is not None:
+            start = self.individuals.get(node_id)
+            if start is None or start.concept not in ends[0]:
+                return ()
         seen: Set[str] = set()
         stack = list(adjacency.get(node_id, ()))
         while stack:
@@ -557,12 +532,10 @@ class KnowledgeGraph:
                 continue
             seen.add(cursor)
             stack.extend(adjacency.get(cursor, ()))
-        result = tuple(sorted(seen))
-        if role.alias_of is not None:
-            result = tuple(n for n in result if self._guard(role, n, "domain"))
-        if memo is not None:
-            memo[node_id] = result
-        return result
+        if ends is not None:
+            individuals, far = self.individuals, ends[1]
+            return tuple(sorted(n for n in seen if individuals[n].concept in far))
+        return tuple(sorted(seen))
 
     # -- serialization ------------------------------------------------------
 
@@ -731,8 +704,6 @@ def populate(
             dates.add(e.time)
             for name in (e.loading_vessel, e.discharging_vessel):
                 if name:
-                    from .vessels import vessel_key
-
                     vessel_labels.setdefault(vessel_key(name), name)
     for ve in vessel_events:
         ports.setdefault(ve.port.key, ve.port)
@@ -759,8 +730,6 @@ def populate(
             carriers.add(carrier)
         graph.add_individual(node, "Container", label=container_id)
         graph.add_edge(node, "belongsTo", carrier)
-
-    from .vessels import vessel_key
 
     for it in itineraries:
         ci = itinerary_node(it.itinerary_id)

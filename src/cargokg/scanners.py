@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .graph import KnowledgeGraph
 from .patterns import (
+    DEFAULT_DATE_THRESHOLD_DAYS,
     Detection,
     Evidence,
     PatternKind,
@@ -103,7 +104,7 @@ def _emit(
 def scan(
     kind: PatternKind,
     graph: KnowledgeGraph,
-    threshold_days: int = 3,
+    threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS,
     variant: str = "filtered",
 ) -> List[Detection]:
     """Procedurally re-derive the detections of ``detect(kind, ...)``."""

@@ -291,16 +291,6 @@ def vessel_event_to_json(e: VesselEvent) -> dict:
     }
 
 
-def vessel_event_from_json(doc: dict) -> VesselEvent:
-    return VesselEvent(
-        event_id=doc["event_id"],
-        kind=VesselEventKind(doc["kind"]),
-        vessel_id=doc["vessel_id"],
-        port=Location(doc["port"]["name"], doc["port"]["country"]),
-        time=date.fromisoformat(doc["time"]),
-    )
-
-
 def write_vessel_stage(
     events_path: str, trips_path: str, events: List[VesselEvent], trips: List[VesselTrip]
 ) -> None:

@@ -224,6 +224,7 @@ def test_criterion_3_oracle_equivalence():
 # Criterion 4: dual-implementation agreement
 
 
+@pytest.mark.slow
 def test_criterion_4_dual_implementation(shared_state):
     with criterion(4, "query and procedural routes agree"):
         for size, summary in shared_state.summaries.items():
@@ -235,6 +236,7 @@ def test_criterion_4_dual_implementation(shared_state):
 # Criterion 5: injection recall and precision
 
 
+@pytest.mark.slow
 def test_criterion_5_injection_recall(shared_state):
     with criterion(5, "injection recall 100%, zero false alarms"):
         # zero-injection datasets produce zero Suspicious detections
@@ -276,6 +278,7 @@ def test_criterion_5_injection_recall(shared_state):
 # Criterion 6: scaling shape
 
 
+@pytest.mark.slow
 def test_criterion_6_scaling_shape():
     with criterion(6, "scaling shape and wall-time budget"):
         results = run_suite(
@@ -330,6 +333,7 @@ def test_criterion_6_scaling_shape():
 # Criterion 7: graph round-trip
 
 
+@pytest.mark.slow
 def test_criterion_7_roundtrip(shared_state, tmp_path):
     with criterion(7, "20K graph serialization round-trip"):
         graph = shared_state.graph_20k

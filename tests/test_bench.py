@@ -37,6 +37,9 @@ def test_tiny_suite_runs(tmp_path):
         by_pattern.setdefault(r.pattern, set()).add(r.detections_found)
     assert by_pattern["loop"] == {2}
     assert by_pattern["unnecessary_transshipment"] == {2}
+    # the memory figure is the process's peak so far
+    peaks = [r.peak_memory_kb for r in results]
+    assert peaks == sorted(peaks)
 
     csv_path = str(tmp_path / "bench.csv")
     write_results_csv(csv_path, results)

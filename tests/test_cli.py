@@ -5,8 +5,9 @@ import os
 import pytest
 
 from cargokg.cli import main
-from cargokg.events import write_csm_csv
+from cargokg.events import read_csm_csv, write_csm_csv
 from cargokg.patterns import load_query_text
+from cargokg.pipeline import run_pipeline
 
 from helpers import loop_scenario, table3_records, unnecessary_scenario
 
@@ -59,6 +60,9 @@ def test_full_pipeline_end_to_end(tmp_path, capsys):
     assert "itineraries=80" in stdout
     assert (out / "trips.jsonl").exists()
     assert (out / "bindings.tsv").exists()
+    # the CLI's persisted stages build the same graph as the one-call chain
+    run_pipeline(read_csm_csv(str(out / "csm.csv"))).graph.save(str(out / "direct.kb"))
+    assert (out / "graph.kb").read_bytes() == (out / "direct.kb").read_bytes()
 
     code, stdout, _ = _run(
         capsys,
