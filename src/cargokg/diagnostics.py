@@ -31,14 +31,6 @@ class Diagnostics:
     def count(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 
-    def merge(self, other: "Diagnostics") -> None:
-        kept = Counter({kind: min(n, MAX_RECORDS_PER_KIND) for kind, n in self.counts.items()})
-        for kind, message in other.records:
-            if kept[kind] < MAX_RECORDS_PER_KIND:
-                self.records.append((kind, message))
-                kept[kind] += 1
-        self.counts.update(other.counts)
-
     def __len__(self) -> int:
         """Every record added, kept or not."""
         return sum(self.counts.values())

@@ -201,11 +201,6 @@ class VocabularyMap:
         return ev
 
 
-def classify_event(raw_event_text: str, vocab: VocabularyMap) -> ReferenceEvent:
-    """Functional wrapper around :meth:`VocabularyMap.classify`."""
-    return vocab.classify(raw_event_text)
-
-
 def load_vocabulary(path: str) -> VocabularyMap:
     """Load a vocabulary CSV (carrier_phrase, reference_leaf, top_class).
 
@@ -308,13 +303,6 @@ def timestamp_literal(d: date) -> str:
     return "%s %s" % (_WEEKDAYS[d.weekday()], d.isoformat())
 
 
-def format_table_date(d: date) -> str:
-    """Render a date in the carrier "DD Mon YYYY" style."""
-    months = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
-              "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
-    return "%02d %s %d" % (d.day, months[d.month - 1], d.year)
-
-
 # ---------------------------------------------------------------------------
 # CSM records
 
@@ -344,20 +332,6 @@ class CsmRecord:
     location: Location
     loading_status: LoadingStatus
     vessel_name: Optional[str] = None
-
-    def to_line(self) -> str:
-        """Pipe-delimited rendering, inverse of :func:`parse_csm_record`."""
-        return " | ".join(
-            [
-                self.csm_id,
-                self.container_id,
-                format_table_date(self.time),
-                self.raw_event_text,
-                str(self.location),
-                self.loading_status.value,
-                self.vessel_name if self.vessel_name else "--",
-            ]
-        )
 
     def to_csv_row(self) -> List[str]:
         return [

@@ -14,10 +14,14 @@ aliases, the rest normalise automatically. ``hasNextVesselEvent`` and
 time to their own domain and range: a pair holds only when both ends' concepts
 fall under them, whichever end a lookup starts from.
 
-A graph is built single-writer, then sealed; afterwards it is immutable and
-safe to share across any number of concurrent query evaluators. Transitive
-closure is computed on demand (chains are short) and is a pure function of
-the sealed graph; the engine memoises closures per query call.
+A graph is built single-writer, then sealed. Seal derives the sorted
+adjacency, the instance index and the port nominals from the contents alone,
+not from the order of insertion, so a populated graph and its saved and
+loaded copy answer alike. A sealed graph takes no more individuals or edges,
+but it is not immutable: its instance-closure, branching, alias-adjacency and
+concept-ancestor caches fill lazily on first use. Transitive closure is
+computed on demand (chains are short); the engine memoises closures per
+query call.
 
 Timestamp individuals carry the canonical literal ``"<Dow> YYYY-MM-DD"``:
 the ISO date sits at 1-indexed offset 5, length 10, which is what the
@@ -308,7 +312,7 @@ class KnowledgeGraph:
         self.taxonomy.add(name, self.taxonomy.require(parent))
         self._extra_concepts.append((name, self.taxonomy.require(parent)))
 
-    def add_individual(self, node_id: str, concept: str, **attrs: str) -> None:
+    def add_individual(self, node_id: str, concept: str, /, **attrs: str) -> None:
         self._check_unsealed()
         resolved = self.taxonomy.resolve(concept)
         if resolved is None:
@@ -380,9 +384,11 @@ class KnowledgeGraph:
         by_concept: Dict[str, List[str]] = {}
         for node_id, ind in self.individuals.items():
             by_concept.setdefault(ind.concept, []).append(node_id)
-            if ind.concept == "Port":
-                self.port_nominals[ind.attrs.get("name", node_id)] = node_id
         self._instances_exact = {c: sorted(ids) for c, ids in by_concept.items()}
+        # in id order, whatever order the ports were declared in: of ports
+        # sharing a display name, the last id wins
+        for node_id in self._instances_exact.get("Port", ()):
+            self.port_nominals[self.individuals[node_id].attrs.get("name", node_id)] = node_id
         for role in self.roles.values():
             if role.alias_of is not None:
                 domain = frozenset(self.taxonomy.descendants_or_self(role.domain))
@@ -583,48 +589,73 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, path: str) -> "KnowledgeGraph":
+        """Read a file written by :meth:`save`, sealed. Whatever the file
+        holds, this returns a sealed graph or raises :class:`GraphError`; a
+        malformed file raises :class:`GraphFormatError` naming the line."""
         graph = cls()
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().split()
-            if len(header) != 5 or header[0] != cls.FORMAT_MAGIC:
-                raise GraphFormatError("not a %s file: %s" % (cls.FORMAT_MAGIC, path))
-            if int(header[1]) != cls.FORMAT_VERSION:
-                raise GraphFormatError(
-                    "format version %s unsupported (expected %d)"
-                    % (header[1], cls.FORMAT_VERSION)
-                )
-            n_concepts, n_individuals, n_edges = (int(x) for x in header[2:5])
-            for number, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split(" ")
-                kind = parts[0]
-                if kind == "edge" and len(parts) == 4:
-                    graph.add_edge(parts[1], parts[2], parts[3])
-                elif kind == "individual" and len(parts) >= 3:
-                    attrs = {}
-                    for chunk in parts[3:]:
-                        key, _, value = chunk.partition("=")
-                        text = _unescape(value)
-                        if text is None:
-                            raise GraphFormatError(
-                                "line %d: bad percent-escape in attribute %r" % (number, chunk)
-                            )
-                        attrs[key] = text
-                    graph.add_individual(parts[1], parts[2], **attrs)
-                elif kind == "concept" and len(parts) == 3:
-                    graph.add_concept(parts[1], parts[2])
-                elif kind in ("edge", "individual", "concept"):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().split()
+                if len(header) != 5 or header[0] != cls.FORMAT_MAGIC:
+                    raise GraphFormatError("not a %s file: %s" % (cls.FORMAT_MAGIC, path))
+                try:
+                    version, *counts = (int(x) for x in header[1:])
+                except ValueError:
                     raise GraphFormatError(
-                        "line %d: malformed %s record: %r" % (number, kind, line.rstrip("\n"))
+                        "line 1: header fields must be integers: %r" % " ".join(header[1:])
+                    ) from None
+                if version != cls.FORMAT_VERSION:
+                    raise GraphFormatError(
+                        "format version %s unsupported (expected %d)"
+                        % (header[1], cls.FORMAT_VERSION)
                     )
-                elif kind:
-                    raise GraphFormatError("line %d: unknown record kind %r" % (number, kind))
-        if len(graph.individuals) != n_individuals or graph.edge_count() != n_edges:
+                for number, line in enumerate(fh, start=2):
+                    parts = line.rstrip("\n").split(" ")
+                    kind = parts[0]
+                    if kind == "edge" and len(parts) == 4:
+                        graph.add_edge(parts[1], parts[2], parts[3])
+                    elif kind == "individual" and len(parts) >= 3:
+                        attrs = {}
+                        for chunk in parts[3:]:
+                            key, sep, value = chunk.partition("=")
+                            text = _unescape(value) if sep else None
+                            if text is None:
+                                raise GraphFormatError(
+                                    "line %d: %s in attribute %r"
+                                    % (number, "bad percent-escape" if sep else "no '='", chunk)
+                                )
+                            attrs[key] = text
+                        graph.add_individual(parts[1], parts[2], **attrs)
+                    elif kind == "concept" and len(parts) == 3:
+                        graph.add_concept(parts[1], parts[2])
+                    elif kind in ("edge", "individual", "concept"):
+                        raise GraphFormatError(
+                            "line %d: malformed %s record: %r" % (number, kind, line.rstrip("\n"))
+                        )
+                    elif kind:
+                        raise GraphFormatError("line %d: unknown record kind %r" % (number, kind))
+        except UnicodeDecodeError:
             raise GraphFormatError(
-                "truncated graph file: header promised %d individuals / %d edges"
-                % (n_individuals, n_edges)
+                "line %d: not UTF-8 text" % _first_undecodable_line(path)
+            ) from None
+        if counts != [len(graph._extra_concepts), len(graph.individuals), graph.edge_count()]:
+            raise GraphFormatError(
+                "truncated graph file: header promised %d concepts / %d individuals"
+                " / %d edges" % tuple(counts)
             )
         graph.seal()
         return graph
+
+
+def _first_undecodable_line(path: str) -> int:
+    """The 1-based number of the first line of a file that is not UTF-8."""
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -669,120 +700,104 @@ def populate(
     trips: Iterable[VesselTrip],
     bindings: Iterable[TransshipmentBinding],
 ) -> KnowledgeGraph:
-    """Build and seal the knowledge graph from the three preparation stages.
+    """Build and seal the knowledge graph from the three preparation stages,
+    in one pass over each input.
 
     Emits one individual per itinerary, trip, event, container, vessel, port,
     carrier and distinct timestamp, role edges for the design's structure,
     direct ``hasNextEvent`` chains per sequence, and the transshipment
     bindings as hasLoadingVesselEvent / hasDischargingVesselEvent edges.
-    Type-check violations abort with the offending triple.
+    A port, timestamp, vessel, container or carrier is declared at its first
+    reference (itineraries before vessel events), so the first-seen port name
+    and vessel label win, and its node id is computed once. Type-check
+    violations abort with the offending triple, as do trips and bindings that
+    name an undeclared vessel or event.
     """
     graph = KnowledgeGraph()
-    itineraries = list(itineraries)
-    vessel_events = list(vessel_events)
-    trips = list(trips)
-
-    for it in itineraries:
-        for e in it.events:
-            leaf = e.ref_event.leaf
-            if graph.taxonomy.resolve(leaf) is None:
-                graph.add_concept(leaf, _TOP_CLASS_CONCEPT[e.ref_event.top_class])
-
-    ports: Dict[str, Location] = {}
-    dates: Set[date] = set()
+    individuals = graph.individuals
+    ports: Dict[Location, str] = {}
+    stamps: Dict[date, str] = {}
+    vessels: Dict[str, str] = {}  # vessel name as referenced -> node id
     containers: Dict[str, str] = {}
-    vessel_labels: Dict[str, str] = {}
+    events: Dict[str, str] = {}  # container event id -> node id
 
-    for it in itineraries:
-        containers.setdefault(it.container_id, container_node(it.container_id))
-        ports.setdefault(it.source_port.key, it.source_port)
-        if it.destination_port is not None:
-            ports.setdefault(it.destination_port.key, it.destination_port)
-        dates.add(it.end_time)
-        for e in it.events:
-            ports.setdefault(e.location.key, e.location)
-            dates.add(e.time)
-            for name in (e.loading_vessel, e.discharging_vessel):
-                if name:
-                    vessel_labels.setdefault(vessel_key(name), name)
-    for ve in vessel_events:
-        ports.setdefault(ve.port.key, ve.port)
-        dates.add(ve.time)
-        vessel_labels.setdefault(ve.vessel_id, ve.vessel_id)
+    def port(location: Location) -> str:
+        node = ports.get(location)
+        if node is None:
+            # locations spelt differently may share a key: the first is kept
+            node = ports[location] = port_node(location)
+            if node not in individuals:
+                graph.add_individual(node, "Port", name=location.name, country=location.country)
+        return node
 
-    for key in sorted(ports):
-        port = ports[key]
-        graph.add_individual(
-            "port_" + key, "Port", name=port.name, country=port.country
-        )
-    for d in sorted(dates):
-        graph.add_individual(timestamp_node(d), "Timestamp", value=timestamp_literal(d))
-    for vessel_id in sorted(vessel_labels):
-        graph.add_individual(
-            vessel_node(vessel_id), "Vessel", label=vessel_labels[vessel_id]
-        )
-    carriers: Set[str] = set()
-    for container_id in sorted(containers):
-        node = containers[container_id]
-        carrier = carrier_node(container_id)
-        if carrier not in carriers:
-            graph.add_individual(carrier, "Carrier", label=container_id[:3])
-            carriers.add(carrier)
-        graph.add_individual(node, "Container", label=container_id)
-        graph.add_edge(node, "belongsTo", carrier)
+    def stamp(d: date) -> str:
+        node = stamps.get(d)
+        if node is None:
+            node = stamps[d] = timestamp_node(d)
+            graph.add_individual(node, "Timestamp", value=timestamp_literal(d))
+        return node
+
+    def vessel(name: str) -> str:
+        node = vessels.get(name)
+        if node is None:
+            node = vessels[name] = vessel_node(vessel_key(name))
+            if node not in individuals:
+                graph.add_individual(node, "Vessel", label=name)
+        return node
 
     for it in itineraries:
         ci = itinerary_node(it.itinerary_id)
         graph.add_individual(
-            ci,
-            "ContainerItinerary",
-            label=it.itinerary_id,
-            completeness=it.completeness.value,
+            ci, "ContainerItinerary", label=it.itinerary_id, completeness=it.completeness.value
         )
-        graph.add_edge(ci, "hasMO", containers[it.container_id])
-        graph.add_edge(ci, "hasCISourcePort", port_node(it.source_port))
+        mo = containers.get(it.container_id)
+        if mo is None:
+            mo = containers[it.container_id] = container_node(it.container_id)
+            carrier = carrier_node(it.container_id)
+            if carrier not in individuals:
+                graph.add_individual(carrier, "Carrier", label=it.container_id[:3])
+            graph.add_individual(mo, "Container", label=it.container_id)
+            graph.add_edge(mo, "belongsTo", carrier)
+        graph.add_edge(ci, "hasMO", mo)
+        graph.add_edge(ci, "hasCISourcePort", port(it.source_port))
         if it.destination_port is not None:
-            graph.add_edge(ci, "hasCIDestinationPort", port_node(it.destination_port))
-        graph.add_edge(ci, "hasEndTime", timestamp_node(it.end_time))
+            graph.add_edge(ci, "hasCIDestinationPort", port(it.destination_port))
+        graph.add_edge(ci, "hasEndTime", stamp(it.end_time))
         previous: Optional[str] = None
         for e in it.events:
-            ce = container_event_node(e.event_id)
-            graph.add_individual(ce, e.ref_event.leaf, label=e.event_id)
+            leaf = e.ref_event.leaf
+            if graph.taxonomy.resolve(leaf) is None:
+                graph.add_concept(leaf, _TOP_CLASS_CONCEPT[e.ref_event.top_class])
+            ce = events[e.event_id] = container_event_node(e.event_id)
+            graph.add_individual(ce, leaf, label=e.event_id)
             graph.add_edge(ci, "hasContainerEvent", ce)
-            graph.add_edge(ce, "hasMO", containers[it.container_id])
-            graph.add_edge(ce, "hasLocation", port_node(e.location))
-            graph.add_edge(ce, "hasTimestamp", timestamp_node(e.time))
+            graph.add_edge(ce, "hasMO", mo)
+            graph.add_edge(ce, "hasLocation", port(e.location))
+            graph.add_edge(ce, "hasTimestamp", stamp(e.time))
             if e.loading_vessel:
-                graph.add_edge(
-                    ce, "hasLoadingVessel", vessel_node(vessel_key(e.loading_vessel))
-                )
+                graph.add_edge(ce, "hasLoadingVessel", vessel(e.loading_vessel))
             if e.discharging_vessel:
-                graph.add_edge(
-                    ce,
-                    "hasDischargingVessel",
-                    vessel_node(vessel_key(e.discharging_vessel)),
-                )
+                graph.add_edge(ce, "hasDischargingVessel", vessel(e.discharging_vessel))
             if previous is not None:
                 graph.add_edge(previous, "hasNextEvent", ce)
             previous = ce
 
-    order = {
-        VesselEventKind.ARRIVAL: 0,
-        VesselEventKind.DEPARTURE: 1,
-    }
-    by_vessel: Dict[str, List[VesselEvent]] = {}
+    order = {VesselEventKind.ARRIVAL: 0, VesselEventKind.DEPARTURE: 1}
+    by_vessel: Dict[str, List[Tuple[VesselEvent, str, str]]] = {}
     for ve in vessel_events:
-        by_vessel.setdefault(ve.vessel_id, []).append(ve)
+        by_vessel.setdefault(ve.vessel_id, []).append((ve, port(ve.port), stamp(ve.time)))
     for vessel_id in sorted(by_vessel):
-        chain = sorted(
-            by_vessel[vessel_id], key=lambda e: (e.time, order[e.kind], e.event_id)
-        )
+        mo = vessel_node(vessel_id)
+        if mo not in individuals:
+            graph.add_individual(mo, "Vessel", label=vessel_id)
+        chain = by_vessel[vessel_id]
+        chain.sort(key=lambda c: (c[0].time, order[c[0].kind], c[0].event_id))
         previous = None
-        for ve in chain:
+        for ve, location, time in chain:
             graph.add_individual(ve.event_id, ve.kind.value)
-            graph.add_edge(ve.event_id, "hasMO", vessel_node(vessel_id))
-            graph.add_edge(ve.event_id, "hasLocation", port_node(ve.port))
-            graph.add_edge(ve.event_id, "hasTimestamp", timestamp_node(ve.time))
+            graph.add_edge(ve.event_id, "hasMO", mo)
+            graph.add_edge(ve.event_id, "hasLocation", location)
+            graph.add_edge(ve.event_id, "hasTimestamp", time)
             if previous is not None:
                 graph.add_edge(previous, "hasNextEvent", ve.event_id)
             previous = ve.event_id
@@ -805,11 +820,9 @@ def populate(
         BindingKind.DISCHARGE_FROM_ARRIVAL: "hasDischargingVesselEvent",
     }
     for b in bindings:
-        graph.add_edge(
-            container_event_node(b.container_event_id),
-            binding_role[b.kind],
-            b.vessel_event_id,
-        )
+        # an event never declared keeps its would-be id, so add_edge rejects it
+        ce = events.get(b.container_event_id) or container_event_node(b.container_event_id)
+        graph.add_edge(ce, binding_role[b.kind], b.vessel_event_id)
 
     graph.seal()
     return graph

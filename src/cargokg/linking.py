@@ -140,13 +140,3 @@ def write_bindings(path: str, bindings: List[TransshipmentBinding]) -> None:
                 "%s\t%s\t%s\n" % (b.container_event_id, b.vessel_event_id, b.kind.value)
             )
 
-
-def read_bindings(path: str) -> List[TransshipmentBinding]:
-    bindings = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            ce, ve, kind = line.rstrip("\n").split("\t")
-            bindings.append(TransshipmentBinding(ce, ve, BindingKind(kind)))
-    return bindings

@@ -27,7 +27,7 @@ import json
 from dataclasses import dataclass, replace
 from datetime import date
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .events import (
     CsmRecord,
@@ -280,18 +280,20 @@ def segment_all(
     return itineraries
 
 
-def port_dwell(
-    itinerary: ContainerItinerary, port: Location
-) -> Optional[Tuple[date, date]]:
-    """[min, max] event time at ``port``, or None if the port is untouched."""
-    times = [e.time for e in itinerary.events if e.location == port]
-    if not times:
-        return None
-    return min(times), max(times)
-
-
 # ---------------------------------------------------------------------------
 # Stage persistence: newline-delimited JSON dumps
+
+
+class StageFileError(ValueError):
+    """A line of a stage dump is malformed: not JSON, a field missing or of
+    the wrong shape, or an event that the events file lacks."""
+
+    def __init__(self, path: str, number: int, cause: Exception):
+        reason = "missing field %s" % cause if type(cause) is KeyError else str(cause)
+        super().__init__("%s line %d: %s" % (path, number, reason))
+
+
+_MALFORMED = (AttributeError, LookupError, RecursionError, TypeError, ValueError)
 
 
 def event_to_json(e: ContainerEvent) -> dict:
@@ -343,6 +345,25 @@ def itinerary_to_json(it: ContainerItinerary) -> dict:
     }
 
 
+def itinerary_from_json(
+    doc: dict, events_by_id: Dict[str, ContainerEvent]
+) -> ContainerItinerary:
+    missing = [eid for eid in doc["events"] if eid not in events_by_id]
+    if missing:
+        raise LookupError("event %s is not in the events file" % missing[0])
+    dest = doc["destination_port"]
+    return ContainerItinerary(
+        itinerary_id=doc["itinerary_id"],
+        container_id=doc["container_id"],
+        events=[events_by_id[eid] for eid in doc["events"]],
+        source_port=Location(doc["source_port"]["name"], doc["source_port"]["country"]),
+        destination_port=Location(dest["name"], dest["country"]) if dest else None,
+        start_time=date.fromisoformat(doc["start_time"]),
+        end_time=date.fromisoformat(doc["end_time"]),
+        completeness=Completeness(doc["completeness"]),
+    )
+
+
 def write_itineraries(
     itineraries_path: str, events_path: str, itineraries: List[ContainerItinerary]
 ) -> None:
@@ -359,34 +380,20 @@ def write_itineraries(
 def read_itineraries(
     itineraries_path: str, events_path: str
 ) -> List[ContainerItinerary]:
-    events_by_id: Dict[str, ContainerEvent] = {}
-    with open(events_path, encoding="utf-8") as fh:
-        for line in fh:
+    """Read back the dumps of :func:`write_itineraries`."""
+    events = {e.event_id: e for e in _read_dump(events_path, event_from_json)}
+    return _read_dump(itineraries_path, lambda doc: itinerary_from_json(doc, events))
+
+
+def _read_dump(path: str, convert: Callable[[dict], object]) -> list:
+    """``convert`` of each non-blank line's JSON record; a line that is not a
+    record of the expected shape raises :class:`StageFileError`."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
             if line.strip():
-                e = event_from_json(json.loads(line))
-                events_by_id[e.event_id] = e
-    itineraries = []
-    with open(itineraries_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            events = [events_by_id[eid] for eid in doc["events"]]
-            dest = doc["destination_port"]
-            itineraries.append(
-                ContainerItinerary(
-                    itinerary_id=doc["itinerary_id"],
-                    container_id=doc["container_id"],
-                    events=events,
-                    source_port=Location(
-                        doc["source_port"]["name"], doc["source_port"]["country"]
-                    ),
-                    destination_port=(
-                        Location(dest["name"], dest["country"]) if dest else None
-                    ),
-                    start_time=date.fromisoformat(doc["start_time"]),
-                    end_time=date.fromisoformat(doc["end_time"]),
-                    completeness=Completeness(doc["completeness"]),
-                )
-            )
-    return itineraries
+                try:
+                    out.append(convert(json.loads(line)))
+                except _MALFORMED as exc:
+                    raise StageFileError(path, number, exc) from None
+    return out

@@ -181,6 +181,37 @@ def test_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_build_kb_reports_bad_stage_files(tmp_path, capsys):
+    csm = tmp_path / "t3.csv"
+    write_csm_csv(str(csm), table3_records())
+    itineraries, events = tmp_path / "it.jsonl", tmp_path / "ev.jsonl"
+    code, _, _ = _run(
+        capsys, "ingest", "--input", str(csm),
+        "--out-itineraries", str(itineraries), "--out-events", str(events),
+    )
+    assert code == 0
+    lines = events.read_text().splitlines()
+    build = ("build-kb", "--itineraries", str(itineraries), "--events", str(events),
+             "--out", str(tmp_path / "g.kb"))
+
+    events.write_text("\n".join(lines[:5]) + "\n")
+    code, _, err = _run(capsys, *build)
+    assert code == 1
+    assert "error: %s line 1: event 12381 is not in the events file" % itineraries in err
+    assert "Traceback" not in err
+
+    events.write_text("\n".join(lines[:1] + ['{"event_id": "12346"}'] + lines[2:]) + "\n")
+    code, _, err = _run(capsys, *build)
+    assert code == 1
+    assert "error: %s line 2: missing field 'container_id'" % events in err
+
+    for bad in ("[]", "[" * 100000):
+        events.write_text("\n".join(lines[:2] + [bad] + lines[3:]) + "\n")
+        code, _, err = _run(capsys, *build)
+        assert code == 1
+        assert "error: %s line 3:" % events in err
+
+
 def test_ingest_strict_and_abort(tmp_path, capsys):
     csm = tmp_path / "t3.csv"
     write_csm_csv(str(csm), table3_records())

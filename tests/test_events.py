@@ -10,7 +10,6 @@ from cargokg.events import (
     LoadingStatus,
     TopClass,
     VocabularyError,
-    classify_event,
     iso6346_check_digit,
     load_vocabulary,
     make_container_id,
@@ -24,7 +23,7 @@ from cargokg.events import (
     write_csm_csv,
 )
 
-from helpers import TABLE3_LINES, table3_records
+from helpers import table3_records
 
 
 def test_parse_row_with_vessel():
@@ -99,14 +98,14 @@ def test_split_location():
 
 
 def test_classify_examples(vocab):
-    assert classify_event("Loaded/Ramped", vocab).leaf == "LoadedToVessel"
+    assert vocab.classify("Loaded/Ramped").leaf == "LoadedToVessel"
     assert (
-        classify_event("Loaded/Ramped", vocab).top_class
+        vocab.classify("Loaded/Ramped").top_class
         is TopClass.MARITIME_TRANSSHIPMENT
     )
-    assert classify_event("Final Destination", vocab).leaf == "FinalDestination"
-    assert classify_event("Final Destination", vocab).top_class is TopClass.TRIP_END
-    unknown = classify_event("frobnicated at depot", vocab)
+    assert vocab.classify("Final Destination").leaf == "FinalDestination"
+    assert vocab.classify("Final Destination").top_class is TopClass.TRIP_END
+    unknown = vocab.classify("frobnicated at depot")
     assert unknown.leaf == "Unknown"
     assert unknown.top_class is TopClass.OTHER
     assert vocab.unmapped["frobnicated at depot"] == 1
@@ -117,19 +116,12 @@ def test_classify_is_total_and_normalized(vocab):
     phrases = ["Loaded/Ramped", "gate in", "FINAL DESTINATION", "odd phrase", ""]
     for phrase in phrases:
         spaced = "  " + phrase.upper() + "   "
-        assert classify_event(phrase, vocab) == classify_event(spaced, vocab)
+        assert vocab.classify(phrase) == vocab.classify(spaced)
     for _ in range(200):
         text = "".join(rng.choice("abc XYZ/-") for _ in range(rng.randrange(0, 12)))
-        ev = classify_event(text, vocab)
+        ev = vocab.classify(text)
         assert ev.leaf in vocab.leaves
-        assert classify_event(normalize_phrase(text), vocab) == ev
-
-
-def test_parse_reserialize_roundtrip():
-    for line in TABLE3_LINES:
-        rec = parse_csm_record(line)
-        again = parse_csm_record(rec.to_line())
-        assert again == rec
+        assert vocab.classify(normalize_phrase(text)) == ev
 
 
 def test_csv_roundtrip(tmp_path):

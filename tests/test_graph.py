@@ -1,7 +1,11 @@
+import functools
 import os
 import random
+import tempfile
+from datetime import date
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cargokg.graph import (
     GraphError,
@@ -13,11 +17,17 @@ from cargokg.graph import (
     itinerary_node,
     populate,
 )
-from cargokg.linking import VesselEventIndex, bind_transshipments
+from cargokg.events import Location, VocabularyMap
+from cargokg.linking import (
+    BindingKind,
+    TransshipmentBinding,
+    VesselEventIndex,
+    bind_transshipments,
+)
 from cargokg.segmentation import events_from_records, segment_container_sequence
-from cargokg.vessels import reconstruct_all
+from cargokg.vessels import VesselTrip, reconstruct_all
 
-from helpers import loop_scenario, table3_records
+from helpers import _scenario_graph, _vessel_chain, loop_scenario, table3_records
 from oracles import reachable_oracle
 
 
@@ -101,6 +111,22 @@ def test_type_check_aborts_with_triple():
         graph.add_edge("cont_x", "belongsTo", "port_a")
     with pytest.raises(GraphTypeError):
         graph.add_edge("cont_x", "belongsTo", "ghost")
+
+
+def test_populate_rejects_unknown_references_with_the_triple(vocab):
+    per_container = events_from_records(table3_records(), vocab)
+    itineraries = segment_container_sequence(per_container["ABCD1234567"])
+    _, vessel_events, trips = reconstruct_all(
+        [e for events in per_container.values() for e in events]
+    )
+    ghost_trip = VesselTrip("trip_ghost", "ghost", vessel_events[0], vessel_events[-1])
+    with pytest.raises(GraphTypeError, match="ves_ghost"):
+        populate(itineraries, vessel_events, trips + [ghost_trip], [])
+    ghost_binding = TransshipmentBinding(
+        "99999", vessel_events[0].event_id, BindingKind.LOAD_TO_DEPARTURE
+    )
+    with pytest.raises(GraphTypeError, match="ce_99999"):
+        populate(itineraries, vessel_events, trips, [ghost_binding])
 
 
 def test_sealed_graph_is_immutable(vocab):
@@ -223,6 +249,103 @@ def test_load_rejects_bad_version(tmp_path):
         KnowledgeGraph.load(str(other))
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"cargokg-graph x 0 0 0\n", "line 1: header fields must be integers"),
+        (b"cargokg-graph 1 0 two 0\n", "line 1: header fields must be integers"),
+        (
+            b"cargokg-graph 1 0 2 0\n"
+            b"individual port_a_xx Port country=XX name=A\n"
+            b"individual port_b_xx Port country=XX name=\xff\n",
+            "line 3: not UTF-8",
+        ),
+        (b"cargokg-graph 1 0 1 0\nindividual a Port name\n", "line 2: no '=' in attribute 'name'"),
+        (b"cargokg-graph 1 1 0 0\n", "truncated graph file: header promised 1 concepts"),
+    ],
+    ids=["version-not-int", "count-not-int", "not-utf8", "no-equals", "concept-count"],
+)
+def test_load_rejects_malformed_files(tmp_path, content, message):
+    path = tmp_path / "g.kb"
+    path.write_bytes(content)
+    with pytest.raises(GraphFormatError, match=message):
+        KnowledgeGraph.load(str(path))
+
+
+def test_attributes_may_share_a_parameter_name(tmp_path):
+    path = tmp_path / "g.kb"
+    path.write_text("cargokg-graph 1 0 1 0\nindividual a Port concept=x node_id=y\n")
+    assert KnowledgeGraph.load(str(path)).individuals["a"].attrs == {
+        "concept": "x",
+        "node_id": "y",
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_bytes() -> bytes:
+    """The saved form of a scenario graph: individuals with attributes, edges
+    of every role kind."""
+    graph, _ = loop_scenario(VocabularyMap())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.kb")
+        graph.save(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+_PAYLOADS = st.one_of(
+    st.binary(min_size=1, max_size=6),
+    st.sampled_from(
+        [b" ", b"\n", b"=", b"%", b"%zz", b"\xff", b"\xc3", b"0", b"-1", b"x",
+         b"individual ", b"edge ", b"concept ", b"node_id=", b"Port "]
+    ),
+)
+_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete", "drop_line", "copy_line"]),
+        st.integers(min_value=0, max_value=1 << 16),
+        _PAYLOADS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _mutate(data: bytes, mutations) -> bytes:
+    out = bytearray(data)
+    for op, at, payload in mutations:
+        pos = at % (len(out) + 1)
+        if op == "insert":
+            out[pos:pos] = payload
+        elif op == "replace":
+            out[pos:pos + len(payload)] = payload
+        elif op == "delete":
+            del out[pos:pos + len(payload)]
+        else:
+            lines = bytes(out).split(b"\n")
+            line = lines[at % len(lines)]
+            if op == "drop_line":
+                del lines[at % len(lines)]
+            else:
+                lines.insert(len(payload) % len(lines), line)
+            out = bytearray(b"\n".join(lines))
+    return bytes(out)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_MUTATIONS)
+def test_load_of_a_mutated_file_seals_or_raises_graph_error(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.kb")
+        with open(path, "wb") as fh:
+            fh.write(_mutate(_saved_bytes(), mutations))
+        try:
+            graph = KnowledgeGraph.load(path)
+        except GraphError:
+            return
+        assert graph.sealed
+
+
 @pytest.mark.parametrize("kind", ["concept", "individual", "edge"])
 def test_load_rejects_truncated_records(tmp_path, kind):
     graph = KnowledgeGraph()
@@ -301,3 +424,38 @@ def test_port_nominals_index(vocab):
     graph, _ = _table3_graph(vocab)
     assert graph.port_nominals["Shangai"] == "port_shangai_cn"
     assert graph.port_nominals["Port Kelang"] == "port_port_kelang_my"
+
+
+# Two ports share the display name "Victoria"; the one referenced first
+# (Seychelles) sorts last by id, so a port index that followed declaration
+# order would differ between populate and load.
+VICTORIA_LINES = [
+    "3001 | FIGU0000514 | 2010-05-01 | Received at Origin | Victoria (SC) | Empty | --",
+    "3002 | FIGU0000514 | 2010-05-02 | Gate In | Victoria (SC) | Full | --",
+    "3003 | FIGU0000514 | 2010-05-03 | Loaded | Victoria (SC) | Full | Vessel1",
+    "3004 | FIGU0000514 | 2010-05-09 | Discharged | Victoria (CA) | Full | Vessel1",
+    "3005 | FIGU0000514 | 2010-05-09 | Final Destination | Victoria (CA) | Full | --",
+]
+
+
+def test_populate_and_load_agree_whatever_the_declaration_order(tmp_path, vocab):
+    vessel = _vessel_chain(
+        "vessel1",
+        [
+            (Location("Victoria", "SC"), date(2010, 5, 2), date(2010, 5, 3)),
+            (Location("Victoria", "CA"), date(2010, 5, 9), None),
+        ],
+    )
+    graph, _ = _scenario_graph(VICTORIA_LINES, vessel, vocab)
+    path = str(tmp_path / "g.kb")
+    graph.save(path)
+    loaded = KnowledgeGraph.load(path)
+    assert graph.port_nominals == loaded.port_nominals == {"Victoria": "port_victoria_sc"}
+    for concept in graph.taxonomy.concepts():
+        assert graph.instances_of(concept) == loaded.instances_of(concept), concept
+    for role in graph.roles:
+        for direction in ("out", "in"):
+            assert graph.adjacency(role, direction) == loaded.adjacency(role, direction), (
+                role,
+                direction,
+            )

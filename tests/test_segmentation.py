@@ -1,11 +1,10 @@
 import random
 from datetime import date, timedelta
 
-from cargokg.events import Location, LoadingStatus, parse_csm_record
+from cargokg.events import LoadingStatus, parse_csm_record
 from cargokg.segmentation import (
     Completeness,
     event_from_record,
-    port_dwell,
     read_itineraries,
     segment_container_sequence,
     write_itineraries,
@@ -212,13 +211,6 @@ def test_transshipment_pair_count_invariant(vocab):
                 if a.is_discharge and b.is_load and a.location == b.location
             )
             assert len(it.transshipments()) == expected
-
-
-def test_port_dwell_examples(vocab):
-    first, second = table3_itineraries(vocab)
-    assert port_dwell(first, ANTWERPEN) == (date(2010, 7, 3), date(2010, 7, 16))
-    assert port_dwell(first, Location("Rotterdam", "NL")) is None
-    assert port_dwell(second, ANTWERPEN) == (date(2010, 8, 20), date(2010, 8, 24))
 
 
 def test_stage_dump_roundtrip(tmp_path, vocab):
