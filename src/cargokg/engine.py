@@ -12,6 +12,13 @@ variables) to variables under which every atom holds:
 * ``RoleAtom(s, r, o)`` holds over direct edges, except that transitive
   roles match over the transitive closure of their direct edges.
 
+An alias role is query sugar. ``resolve_names`` rewrites each alias atom into
+its base role atom, followed by a type atom for each end the alias narrows,
+and drops duplicate atoms: ``?v st:hasNextVesselEvent ?v1`` becomes
+``?v st:hasNextEvent ?v1 . ?v a st:VesselEvent . ?v1 a st:VesselEvent``.
+Everything after it (planner, compiler, semi-join restrictors, closure memos)
+sees stored roles only.
+
 Substring binds compute derived literals, date filters compare them with
 calendar-date ordering; a filter over a value that does not parse as a date
 excludes the row and bumps a diagnostics counter. DISTINCT applies to the
@@ -93,8 +100,9 @@ def _resolve_individual(graph: KnowledgeGraph, term: Const) -> str:
 def resolve_names(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
     """Resolve every Const in the query against the graph schema.
 
-    Returns atoms with canonical concept names, canonical role names and
-    verified individual ids. Raises UnresolvedNameError otherwise.
+    Returns atoms with canonical concept names, stored role names and
+    verified individual ids, alias roles expanded (see the module docstring)
+    and duplicate atoms dropped. Raises UnresolvedNameError otherwise.
     """
     resolved: List[Atom] = []
     for atom in query.atoms:
@@ -135,8 +143,15 @@ def resolve_names(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
                 if isinstance(atom.object, Const)
                 else atom.object
             )
-            resolved.append(RoleAtom(subject, role.name, obj))
-    return resolved
+            base = graph.base_role(role)
+            resolved.append(RoleAtom(subject, base.name, obj))
+            for end, concept, stored in (
+                (subject, role.domain, base.domain),
+                (obj, role.range, base.range),
+            ):
+                if not graph.is_subclass(stored, concept):
+                    resolved.append(TypeAtom(end, Const(concept)))
+    return list(dict.fromkeys(resolved))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +250,9 @@ def plan(
     ``evaluate_rows``); they anchor the plan like nominals do. Semantics-
     preserving: any order yields the same result set; this one starts from
     nominal-anchored atoms and grows the join along shared variables.
+
+    An atom's estimate depends only on which of its own variables are bound,
+    so it is computed once per such state.
     """
     atoms = resolve_names(query, graph)
     # a shared parameter does not connect two atoms: joining through it
@@ -244,13 +262,18 @@ def plan(
     remaining = list(enumerate(atoms))
     order: List[Atom] = []
     joined: set = set()  # bound by the atoms placed so far
+    estimates: Dict[Tuple[int, Tuple[bool, ...]], Tuple[int, float]] = {}
     while remaining:
         bound = joined | params
 
         def key(item):
             index, atom = item
-            tier, size = _estimate(graph, atom, bound, params, restricted)
             vars_ = free[index]
+            state = (index, tuple(v in joined for v in vars_))
+            estimate = estimates.get(state)
+            if estimate is None:
+                estimate = estimates[state] = _estimate(graph, atom, bound, params, restricted)
+            tier, size = estimate
             connected = (not joined) or any(v in joined for v in vars_) or not vars_
             return (0 if connected else 1, tier, size, index)
 

@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from .diagnostics import Diagnostics, record
@@ -45,9 +46,11 @@ class Location:
     name: str
     country: str = ""
 
-    @property
+    @cached_property
     def key(self) -> str:
-        return "%s_%s" % (slug(self.name), self.country.lower() or "zz")
+        """The slug a port's node id is built from, computed once: generation
+        and vessel reconstruction look it up many times per location."""
+        return "%s_%s" % (slug(self.name), slug(self.country) if self.country else "zz")
 
     def __str__(self) -> str:
         if self.country:
@@ -212,21 +215,24 @@ def load_vocabulary(path: str) -> VocabularyMap:
     top_by_value = {tc.value: tc for tc in TopClass}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        required = {"carrier_phrase", "reference_leaf", "top_class"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise VocabularyError(
-                "vocabulary file must have columns carrier_phrase, reference_leaf, top_class"
-            )
-        for i, row in enumerate(reader, start=2):
-            top = top_by_value.get((row["top_class"] or "").strip())
-            if top is None:
+        try:
+            required = {"carrier_phrase", "reference_leaf", "top_class"}
+            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise VocabularyError(
-                    "line %d: unknown top class %r" % (i, row["top_class"])
+                    "vocabulary file must have columns carrier_phrase, reference_leaf, top_class"
                 )
-            leaf = (row["reference_leaf"] or "").strip()
-            if not leaf:
-                raise VocabularyError("line %d: empty reference_leaf" % i)
-            vocab.add_entry(row["carrier_phrase"], ReferenceEvent(leaf, top))
+            for i, row in enumerate(reader, start=2):
+                top = top_by_value.get((row["top_class"] or "").strip())
+                if top is None:
+                    raise VocabularyError(
+                        "line %d: unknown top class %r" % (i, row["top_class"])
+                    )
+                leaf = (row["reference_leaf"] or "").strip()
+                if not leaf:
+                    raise VocabularyError("line %d: empty reference_leaf" % i)
+                vocab.add_entry(row["carrier_phrase"], ReferenceEvent(leaf, top))
+        except csv.Error as exc:
+            raise VocabularyError("line %d: %s" % (reader.reader.line_num, exc)) from None
     return vocab
 
 
@@ -443,38 +449,43 @@ def iter_csm_csv(
     """Yield records (or per-row parse errors) from a CSM CSV file.
 
     Errors are yielded rather than raised so the caller can decide between
-    skipping bad rows and aborting the ingest.
+    skipping bad rows and aborting the ingest. A file that is not CSV (say,
+    a field over the csv module's size limit) raises CsmParseError naming
+    the line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != CSM_CSV_COLUMNS:
-            raise CsmParseError(
-                "<header>", "expected columns %s" % ",".join(CSM_CSV_COLUMNS)
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            row_id = row[0].strip() if row[0].strip() else "line %d" % lineno
-            if len(row) != len(CSM_CSV_COLUMNS):
-                yield CsmParseError(
-                    row_id, "expected %d fields, found %d" % (len(CSM_CSV_COLUMNS), len(row))
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != CSM_CSV_COLUMNS:
+                raise CsmParseError(
+                    "<header>", "expected columns %s" % ",".join(CSM_CSV_COLUMNS)
                 )
-                continue
-            try:
-                yield _parse_fields(
-                    row_id,
-                    row[1],
-                    row[2],
-                    row[3],
-                    Location(row[4].strip(), row[5].strip().upper()),
-                    row[6],
-                    row[7],
-                    strict_check_digit,
-                    diagnostics,
-                )
-            except CsmParseError as exc:
-                yield exc
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                row_id = row[0].strip() if row[0].strip() else "line %d" % lineno
+                if len(row) != len(CSM_CSV_COLUMNS):
+                    yield CsmParseError(
+                        row_id, "expected %d fields, found %d" % (len(CSM_CSV_COLUMNS), len(row))
+                    )
+                    continue
+                try:
+                    yield _parse_fields(
+                        row_id,
+                        row[1],
+                        row[2],
+                        row[3],
+                        Location(row[4].strip(), row[5].strip().upper()),
+                        row[6],
+                        row[7],
+                        strict_check_digit,
+                        diagnostics,
+                    )
+                except CsmParseError as exc:
+                    yield exc
+        except csv.Error as exc:
+            raise CsmParseError("line %d" % reader.line_num, str(exc)) from None
 
 
 def read_csm_csv(

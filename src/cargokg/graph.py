@@ -8,20 +8,23 @@ one sequence are chained with the transitive successor role ``hasNextEvent``.
 
 Concept and role names follow one canonical spelling, but lookups accept the
 underscore spellings used in query files (``Container_itinerary``,
-``Transshipment_Event``, ``hasNextVesselEvent``); the last two are genuine
-aliases, the rest normalise automatically. ``hasNextVesselEvent`` and
-``hasVPort`` are stored through their base roles and restricted at lookup
-time to their own domain and range: a pair holds only when both ends' concepts
-fall under them, whichever end a lookup starts from.
+``Trip_Start``) and the concept aliases ``Transshipment_Event`` and
+``Maritime_Container_Itinerary``. The role table also declares the alias
+roles ``hasNextVesselEvent``, ``hasVPort`` and ``hasTime``: each is its base
+role (``hasNextEvent``, ``hasLocation``, ``hasTimestamp``) narrowed to its
+own domain and range (``hasTime`` is a plain rename), so it needs no storage
+of its own. The graph stores and serves base roles only: the query engine
+rewrites an alias atom into its base role atom plus type atoms
+(``engine.resolve_names``), and an edge or a lookup given an alias name
+raises :class:`GraphError`.
 
 A graph is built single-writer, then sealed. Seal derives the sorted
 adjacency, the instance index and the port nominals from the contents alone,
 not from the order of insertion, so a populated graph and its saved and
 loaded copy answer alike. A sealed graph takes no more individuals or edges,
-but it is not immutable: its instance-closure, branching, alias-adjacency and
-concept-ancestor caches fill lazily on first use. Transitive closure is
-computed on demand (chains are short); the engine memoises closures per
-query call.
+but it is not immutable: its instance-closure and branching caches fill
+lazily on first use. Transitive closure is computed on demand (chains are
+short); the engine memoises closures per query call.
 
 Timestamp individuals carry the canonical literal ``"<Dow> YYYY-MM-DD"``:
 the ISO date sits at 1-indexed offset 5, length 10, which is what the
@@ -86,15 +89,17 @@ def _norm(name: str) -> str:
 
 
 class ConceptTaxonomy:
-    """Acyclic single-parent concept hierarchy with reflexive subsumption."""
+    """Single-parent concept hierarchy with reflexive subsumption. A concept
+    is added under a parent already present, so the hierarchy is a tree by
+    construction, and each concept's ancestors are fixed when it is added."""
 
     def __init__(self):
         self._parent: Dict[str, Optional[str]] = {}
         self._children: Dict[str, List[str]] = {}
         self._by_norm: Dict[str, str] = {}
         self._aliases: Dict[str, str] = {}
-        self._ancestor_cache: Dict[str, List[str]] = {}
-        self._ancestor_set_cache: Dict[str, frozenset] = {}
+        self._ancestors: Dict[str, List[str]] = {}  # concept, its parent, ..., the root
+        self._ancestor_sets: Dict[str, frozenset] = {}
 
     def add(self, name: str, parent: Optional[str] = None) -> None:
         if name in self._parent:
@@ -106,8 +111,9 @@ class ConceptTaxonomy:
         if parent is not None:
             self._children[parent].append(name)
         self._by_norm[_norm(name)] = name
-        self._ancestor_cache.clear()
-        self._ancestor_set_cache.clear()
+        chain = [name] + (self._ancestors[parent] if parent is not None else [])
+        self._ancestors[name] = chain
+        self._ancestor_sets[name] = frozenset(chain)
 
     def add_alias(self, alias: str, canonical: str) -> None:
         if canonical not in self._parent:
@@ -136,19 +142,7 @@ class ConceptTaxonomy:
         return resolved
 
     def ancestors_or_self(self, name: str) -> List[str]:
-        start = self.require(name)
-        cached = self._ancestor_cache.get(start)
-        if cached is not None:
-            return cached
-        out: List[str] = []
-        cursor: Optional[str] = start
-        while cursor is not None:
-            if cursor in out:
-                raise GraphError("concept cycle through %s" % cursor)
-            out.append(cursor)
-            cursor = self._parent[cursor]
-        self._ancestor_cache[start] = out
-        return out
+        return self._ancestors[self.require(name)]
 
     def descendants_or_self(self, name: str) -> List[str]:
         root = self.require(name)
@@ -162,16 +156,10 @@ class ConceptTaxonomy:
     def is_subclass(self, child: str, ancestor: str) -> bool:
         """True iff ``ancestor`` is reachable from ``child`` (reflexively)."""
         target = ancestor if ancestor in self._parent else self.require(ancestor)
-        cached = self._ancestor_set_cache.get(child)
-        if cached is None:
-            chain = self.ancestors_or_self(child)
-            cached = frozenset(chain)
-            self._ancestor_set_cache[chain[0]] = cached
-        return target in cached
-
-    def validate_acyclic(self) -> None:
-        for name in self._parent:
-            self.ancestors_or_self(name)
+        found = self._ancestor_sets.get(child)
+        if found is None:
+            found = self._ancestor_sets[self.require(child)]
+        return target in found
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +274,15 @@ class KnowledgeGraph:
         self._roles_by_norm = {_norm(r.name): r.name for r in _BUILTIN_ROLES}
         self.individuals: Dict[str, Individual] = {}
         self.port_nominals: Dict[str, str] = {}  # port name key -> individual id
-        self._out: Dict[str, Dict[str, List[str]]] = {r.name: {} for r in _BUILTIN_ROLES}
-        self._in: Dict[str, Dict[str, List[str]]] = {r.name: {} for r in _BUILTIN_ROLES}
+        # adjacency of the stored roles only: an alias role has no edges
+        stored = [r.name for r in _BUILTIN_ROLES if r.alias_of is None]
+        self._out: Dict[str, Dict[str, List[str]]] = {name: {} for name in stored}
+        self._in: Dict[str, Dict[str, List[str]]] = {name: {} for name in stored}
         self._edge_count = 0
         self._extra_concepts: List[Tuple[str, str]] = []
         self._instances_exact: Dict[str, List[str]] = {}
         self._instances_closure: Dict[str, List[str]] = {}
         self._branching: Dict[str, Tuple[float, float]] = {}
-        self._guarded: Dict[Tuple[str, str], Dict[str, List[str]]] = {}
-        # (alias role, direction) -> concepts admitted at the (near, far) ends
-        # of a lookup in that direction
-        self._alias_ends: Dict[Tuple[str, str], Tuple[frozenset, frozenset]] = {}
         self._edge_checks: Dict[Tuple[str, str, str], Tuple[bool, bool]] = {}
         self.sealed = False
 
@@ -314,6 +300,10 @@ class KnowledgeGraph:
 
     def add_individual(self, node_id: str, concept: str, /, **attrs: str) -> None:
         self._check_unsealed()
+        if node_id.split() != [node_id]:
+            # a saved graph separates its fields by spaces and records by
+            # line breaks: such an id would not load back
+            raise GraphTypeError("individual id %r is empty or holds whitespace" % node_id)
         resolved = self.taxonomy.resolve(concept)
         if resolved is None:
             raise GraphTypeError(
@@ -336,9 +326,19 @@ class KnowledgeGraph:
     def base_role(self, role: Role) -> Role:
         return self.roles[role.alias_of] if role.alias_of else role
 
+    def _stored_role(self, name: str) -> Role:
+        """The role of a name, which must be a stored role, not an alias."""
+        role = self.roles.get(name) or self.resolve_role(name)
+        if role.alias_of is not None:
+            raise GraphError(
+                "role %s is an alias of %s; the graph stores and serves only its"
+                " base role (queries expand aliases)" % (role.name, role.alias_of)
+            )
+        return role
+
     def add_edge(self, subject: str, role_name: str, obj: str) -> None:
         self._check_unsealed()
-        role = self.resolve_role(role_name)
+        role = self._stored_role(role_name)
         s_ind = self.individuals.get(subject)
         o_ind = self.individuals.get(obj)
         if s_ind is None or o_ind is None:
@@ -365,18 +365,15 @@ class KnowledgeGraph:
                 "edge (%s, %s, %s): object concept %s outside range %s"
                 % (subject, role.name, obj, o_ind.concept, role.range)
             )
-        base = self.base_role(role).name
         subject, obj = sys.intern(subject), sys.intern(obj)
-        self._out[base].setdefault(subject, []).append(obj)
-        self._in[base].setdefault(obj, []).append(subject)
+        self._out[role.name].setdefault(subject, []).append(obj)
+        self._in[role.name].setdefault(obj, []).append(subject)
         self._edge_count += 1
 
     def seal(self) -> None:
-        """Freeze the graph: sort adjacency, build the instance index and the
-        alias roles' admitted concepts."""
+        """Freeze the graph: sort adjacency and build the instance index."""
         if self.sealed:
             return
-        self.taxonomy.validate_acyclic()
         for index in (self._out, self._in):
             for adjacency in index.values():
                 for bucket in adjacency.values():
@@ -389,12 +386,6 @@ class KnowledgeGraph:
         # sharing a display name, the last id wins
         for node_id in self._instances_exact.get("Port", ()):
             self.port_nominals[self.individuals[node_id].attrs.get("name", node_id)] = node_id
-        for role in self.roles.values():
-            if role.alias_of is not None:
-                domain = frozenset(self.taxonomy.descendants_or_self(role.domain))
-                range_ = frozenset(self.taxonomy.descendants_or_self(role.range))
-                self._alias_ends[role.name, "out"] = (domain, range_)
-                self._alias_ends[role.name, "in"] = (range_, domain)
         self.sealed = True
 
     # -- read access --------------------------------------------------------
@@ -431,35 +422,13 @@ class KnowledgeGraph:
         return cached
 
     def adjacency(self, role_name: str, direction: str) -> Mapping[str, List[str]]:
-        """Direct neighbours along a role, for a sealed graph: ``"out"`` maps
-        each subject to its objects, ``"in"`` each object to its subjects,
-        sorted. Read-only.
-
-        An alias role's map holds the nodes of its near end that have a base
-        role edge (with an empty list if no neighbour passes), and as their
-        neighbours only nodes of its far end. It is built on first use and
-        kept.
-        """
+        """Direct neighbours along a stored role, for a sealed graph:
+        ``"out"`` maps each subject to its objects, ``"in"`` each object to
+        its subjects, sorted. Read-only."""
         if not self.sealed:
             raise SealedGraphError("adjacency lookups require a sealed graph")
-        role = self.resolve_role(role_name)
         index = self._out if direction == "out" else self._in
-        base = index[self.base_role(role).name]
-        key = (role.name, direction)
-        ends = self._alias_ends.get(key)
-        if ends is None:
-            return base
-        guarded = self._guarded.get(key)
-        if guarded is None:
-            near, far = ends
-            individuals = self.individuals
-            guarded = {
-                node: [n for n in nodes if individuals[n].concept in far]
-                for node, nodes in base.items()
-                if individuals[node].concept in near
-            }
-            self._guarded[key] = guarded
-        return guarded
+        return index[self._stored_role(role_name).name]
 
     def objects(self, subject: str, role_name: str) -> List[str]:
         return self.adjacency(role_name, "out").get(subject, [])
@@ -479,16 +448,14 @@ class KnowledgeGraph:
 
     def role_branching(self, role_name: str) -> Tuple[float, float]:
         """Expected (objects per domain instance, subjects per range instance)
-        of a role: how much a join step along it multiplies rows. Cached."""
-        role = self.resolve_role(role_name)
-        base = self.base_role(role)
+        of a stored role: how much a join step along it multiplies rows.
+        Cached."""
+        role = self._stored_role(role_name)
         cached = self._branching.get(role.name)
         if cached is None:
-            # edges live under the base role, so size against its concepts;
-            # an alias restriction can only shrink the real branching
-            edges = sum(len(v) for v in self._out[base.name].values())
-            domain_size = max(1, len(self.instances_of(base.domain)))
-            range_size = max(1, len(self.instances_of(base.range)))
+            edges = sum(len(v) for v in self._out[role.name].values())
+            domain_size = max(1, len(self.instances_of(role.domain)))
+            range_size = max(1, len(self.instances_of(role.range)))
             cached = (edges / domain_size, edges / range_size)
             self._branching[role.name] = cached
         return cached
@@ -505,7 +472,7 @@ class KnowledgeGraph:
         self, node_id: str, role_name: str = "hasNextEvent"
     ) -> Tuple[str, ...]:
         """Reflexive-free transitive closure of direct edges from ``node_id``,
-        sorted. Requires a sealed graph and a transitive role."""
+        sorted. Requires a sealed graph and a stored transitive role."""
         return self._closure(node_id, role_name, "out")
 
     def transitive_predecessors(
@@ -515,21 +482,12 @@ class KnowledgeGraph:
         return self._closure(node_id, role_name, "in")
 
     def _closure(self, node_id: str, role_name: str, direction: str) -> Tuple[str, ...]:
-        """Walk the base role's direct edges from ``node_id``; an alias role
-        answers nothing from a start outside its near end and keeps only the
-        reached nodes inside its far end."""
         if not self.sealed:
             raise SealedGraphError("transitive closure requires a sealed graph")
-        role = self.resolve_role(role_name)
+        role = self._stored_role(role_name)
         if not role.transitive:
             raise GraphError("role %s is not transitive" % role.name)
-        index = self._out if direction == "out" else self._in
-        adjacency = index[self.base_role(role).name]
-        ends = self._alias_ends.get((role.name, direction))
-        if ends is not None:
-            start = self.individuals.get(node_id)
-            if start is None or start.concept not in ends[0]:
-                return ()
+        adjacency = (self._out if direction == "out" else self._in)[role.name]
         seen: Set[str] = set()
         stack = list(adjacency.get(node_id, ()))
         while stack:
@@ -538,9 +496,6 @@ class KnowledgeGraph:
                 continue
             seen.add(cursor)
             stack.extend(adjacency.get(cursor, ()))
-        if ends is not None:
-            individuals, far = self.individuals, ends[1]
-            return tuple(sorted(n for n in seen if individuals[n].concept in far))
         return tuple(sorted(seen))
 
     # -- serialization ------------------------------------------------------
@@ -675,7 +630,7 @@ def container_node(container_id: str) -> str:
 
 
 def carrier_node(container_id: str) -> str:
-    return "car_" + container_id[:3].lower()
+    return "car_" + slug(container_id[:3])
 
 
 def container_event_node(event_id: str) -> str:

@@ -1,13 +1,19 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cargokg.cli import main
-from cargokg.events import read_csm_csv, write_csm_csv
+from cargokg.events import CSM_CSV_COLUMNS, read_csm_csv, write_csm_csv
+from cargokg.graph import KnowledgeGraph
 from cargokg.patterns import load_query_text
 from cargokg.pipeline import run_pipeline
+from cargokg.synthgen import GenConfig, generate
 
 from helpers import loop_scenario, table3_records, unnecessary_scenario
 
@@ -305,3 +311,122 @@ def test_tiny_bench_subcommand(tmp_path, capsys):
     assert "pattern" in stdout
     assert (tmp_path / "bench" / "bench_results.csv").exists()
     assert (tmp_path / "bench" / "bench_table.txt").exists()
+
+
+def _csv_rows(records):
+    return [CSM_CSV_COLUMNS] + [record.to_csv_row() for record in records]
+
+
+def _write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def test_a_country_with_a_space_builds_a_graph_that_loads(tmp_path, capsys):
+    rows = _csv_rows(table3_records())
+    country = CSM_CSV_COLUMNS.index("country")
+    for row in rows[1:]:
+        if row[country] == "CN":
+            row[country] = "C N"
+    _write_rows(tmp_path / "csm.csv", rows)
+    itineraries, events, kb = tmp_path / "it.jsonl", tmp_path / "ev.jsonl", tmp_path / "g.kb"
+    for argv in (
+        ("ingest", "--input", str(tmp_path / "csm.csv"),
+         "--out-itineraries", str(itineraries), "--out-events", str(events)),
+        ("build-kb", "--itineraries", str(itineraries), "--events", str(events),
+         "--out", str(kb)),
+        ("detect", "loop", "--kb", str(kb), "--quiet"),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+    assert "port_shangai_c_n" in KnowledgeGraph.load(str(kb)).individuals
+
+
+def test_an_oversized_csv_field_is_a_row_error(tmp_path, capsys):
+    rows = _csv_rows(table3_records())
+    rows[3][CSM_CSV_COLUMNS.index("event")] = "x" * 200000
+    _write_rows(tmp_path / "csm.csv", rows)
+    code, _, err = _run(
+        capsys, "ingest", "--input", str(tmp_path / "csm.csv"),
+        "--out-itineraries", str(tmp_path / "it.jsonl"),
+        "--out-events", str(tmp_path / "ev.jsonl"),
+    )
+    assert code == 1
+    assert "error: row line 4: field larger than field limit" in err
+
+
+def test_an_oversized_vocabulary_field_is_a_vocabulary_error(tmp_path, capsys):
+    csm, vocab = tmp_path / "csm.csv", tmp_path / "vocab.csv"
+    write_csm_csv(str(csm), table3_records())
+    _write_rows(
+        vocab,
+        [["carrier_phrase", "reference_leaf", "top_class"], ["x" * 200000, "GateIn", "TripStart"]],
+    )
+    code, _, err = _run(
+        capsys, "ingest", "--input", str(csm), "--vocab", str(vocab),
+        "--out-itineraries", str(tmp_path / "it.jsonl"),
+        "--out-events", str(tmp_path / "ev.jsonl"),
+    )
+    assert code == 1
+    assert "error: line 2: field larger than field limit" in err
+
+
+# A small dataset with vessel calls, transshipments and one injected loop,
+# as CSV rows, header first.
+_BASE_ROWS = _csv_rows(
+    generate(
+        GenConfig(seed=3, itinerary_count=8, port_count=5, vessel_count=3,
+                  transshipment_rate=0.5, injected_loops=1, injected_unnecessary=1)
+    )[0]
+)
+_INSERTS = [" ", "  ", "\t", "\n", "\r", "\u00a0", "-", "_", ".", ",", "'", '"', "(", ")",
+            "/", "%", "=", "#", "|", ";"]
+_EDIT = st.tuples(
+    st.integers(min_value=1, max_value=len(_BASE_ROWS) - 1),  # data row
+    st.integers(min_value=0, max_value=len(CSM_CSV_COLUMNS) - 1),  # field
+    st.one_of(st.sampled_from(_INSERTS), st.none()),  # text to insert; None truncates
+    st.integers(min_value=0, max_value=20),  # position
+)
+
+
+def _mutated(edits):
+    rows = [list(row) for row in _BASE_ROWS]
+    for row, column, text, position in edits:
+        value = rows[row][column]
+        position = min(position, len(value))
+        rows[row][column] = value[:position] if text is None else (
+            value[:position] + text + value[position:]
+        )
+    return rows
+
+
+def _main_quietly(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(list(argv))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=4))
+@example(edits=[(row, CSM_CSV_COLUMNS.index("country"), " ", 1) for row in (1, 2, 3)])
+def test_mutated_csm_rows_exit_cleanly_and_build_graphs_that_load(edits):
+    with tempfile.TemporaryDirectory() as work:
+        def at(name):
+            return os.path.join(work, name)
+
+        _write_rows(at("csm.csv"), _mutated(edits))
+        code = _main_quietly(
+            "ingest", "--input", at("csm.csv"),
+            "--out-itineraries", at("it.jsonl"), "--out-events", at("ev.jsonl"),
+        )
+        assert code in (0, 1)
+        if code:
+            return
+        code = _main_quietly(
+            "build-kb", "--itineraries", at("it.jsonl"), "--events", at("ev.jsonl"),
+            "--out", at("graph.kb"),
+        )
+        assert code in (0, 1)
+        if code:
+            return
+        KnowledgeGraph.load(at("graph.kb"))
+        assert _main_quietly("detect", "loop", "--kb", at("graph.kb"), "--quiet") == 0

@@ -5,6 +5,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cargokg import engine
 from cargokg.diagnostics import Diagnostics
 from cargokg.engine import UnresolvedNameError, evaluate, evaluate_rows, plan, resolve_names
 from cargokg.graph import KnowledgeGraph, timestamp_node
@@ -76,7 +77,7 @@ def test_plan_puts_nominal_first(vocab):
     assert isinstance(first.object, Const) or isinstance(first.subject, Const)
     # the source-port nominal comes before any transitive chain atom
     roles = [a.role for a in ordered if isinstance(a, RoleAtom)]
-    assert roles.index("hasCISourcePort") < roles.index("hasNextVesselEvent")
+    assert roles.index("hasCISourcePort") < roles.index("hasNextEvent")
 
 
 def test_plan_joins_into_a_restricted_variable_by_its_restriction(vocab, monkeypatch):
@@ -96,7 +97,46 @@ def test_plan_joins_into_a_restricted_variable_by_its_restriction(vocab, monkeyp
     position = {
         (a.role, a.object.name): i for i, a in enumerate(ordered) if isinstance(a, RoleAtom)
     }
-    assert position["hasNextVesselEvent", "v1"] < position["hasContainerEvent", "t2"]
+    assert position["hasNextEvent", "v1"] < position["hasContainerEvent", "t2"]
+
+
+def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
+    # an atom's estimate depends only on which of its own variables are
+    # bound: the planner asks once per state, and orders as if it asked
+    # again at every placement
+    graph, _ = loop_scenario(vocab)
+    query = substitute_nominals(load_query("loop_intermediate"), {"port": Var("port")})
+    params = frozenset({"port"})
+    atoms = resolve_names(query, graph)
+    restricted = frozenset(engine._nominal_restrictor_specs(graph, atoms, params))
+
+    def free(atom):
+        return [v for v in engine._atom_vars(atom) if v not in params]
+
+    def key(item, joined):
+        index, atom = item
+        tier, size = engine._estimate(graph, atom, joined | params, params, restricted)
+        connected = not joined or not free(atom) or any(v in joined for v in free(atom))
+        return (0 if connected else 1, tier, size, index)
+
+    expected, remaining, joined = [], list(enumerate(atoms)), set()
+    while remaining:
+        remaining.sort(key=lambda item: key(item, joined))
+        expected.append(remaining.pop(0)[1])
+        joined.update(free(expected[-1]))
+
+    states = []
+    estimate = engine._estimate
+
+    def counted(graph, atom, bound, *rest):
+        states.append((atom, frozenset(v for v in free(atom) if v in bound)))
+        return estimate(graph, atom, bound, *rest)
+
+    monkeypatch.setattr(engine, "_estimate", counted)
+    assert plan(query, graph, params) == expected
+    assert len(states) == len(set(states))
+    # estimating every remaining atom at every placement makes n(n+1)/2
+    assert len(states) < len(atoms) * (len(atoms) + 1) // 2
 
 
 def test_plan_preserves_semantics(vocab):

@@ -26,9 +26,11 @@ from cargokg.linking import (
 )
 from cargokg.segmentation import events_from_records, segment_container_sequence
 from cargokg.vessels import VesselTrip, reconstruct_all
+from cargokg.engine import UnresolvedNameError, evaluate
+from cargokg.queries import parse_query
 
 from helpers import _scenario_graph, _vessel_chain, loop_scenario, table3_records
-from oracles import reachable_oracle
+from oracles import oracle_evaluate, reachable_oracle
 
 
 def test_taxonomy_subsumption_examples():
@@ -43,7 +45,12 @@ def test_taxonomy_subsumption_examples():
 
 def test_taxonomy_acyclic_and_roots():
     tax = builtin_taxonomy()
-    tax.validate_acyclic()
+    for concept in tax.concepts():
+        chain = tax.ancestors_or_self(concept)
+        assert chain[0] == concept and chain[-1] == "Thing"
+        assert len(set(chain)) == len(chain)
+    with pytest.raises(GraphError):
+        tax.add("Loose", "NoSuchParent")
     assert tax.parent("ContainerEvent") == "Event"
     assert tax.parent("VesselEvent") == "Event"
 
@@ -196,19 +203,27 @@ def test_closure_equals_iterated_single_step(vocab):
         assert set(graph.transitive_successors(node, "hasNextEvent")) == stepped
 
 
+def _agrees_with_oracle(graph, text):
+    query = parse_query(text)
+    rows = evaluate(query, graph).rows
+    assert rows == oracle_evaluate(query, graph), text
+    return rows
+
+
 def test_vessel_alias_roles_respect_endpoints(vocab):
     graph, itineraries = loop_scenario(vocab)
     container_chain_heads = [
         s for s, _ in graph.role_pairs("hasNextEvent") if s.startswith("ce_")
     ]
     assert container_chain_heads  # container chains exist under the base role
-    assert all(
-        s.startswith("ve_") and o.startswith("ve_")
-        for s, o in graph.role_pairs("hasNextVesselEvent")
-    )
+    pairs = _agrees_with_oracle(graph, "SELECT ?s ?o WHERE { ?s st:hasNextVesselEvent ?o . }")
+    assert pairs and all(s.startswith("ve_") and o.startswith("ve_") for s, o in pairs)
     some_ce = container_chain_heads[0]
-    assert graph.transitive_successors(some_ce, "hasNextVesselEvent") == ()
-    for s, o in graph.role_pairs("hasVPort"):
+    text = "SELECT ?o WHERE { st:%s st:hasNextVesselEvent ?o . }" % some_ce
+    assert _agrees_with_oracle(graph, text) == []
+    ports = _agrees_with_oracle(graph, "SELECT ?e ?p WHERE { ?e st:hasVPort ?p . }")
+    assert ports
+    for s, o in ports:
         assert graph.concept_of(o) == "Port"
         assert graph.concept_of(s) in ("Arrival", "Departure")
     # a container event that links into a vessel chain is no vessel event,
@@ -220,10 +235,40 @@ def test_vessel_alias_roles_respect_endpoints(vocab):
     linked.add_edge("ce_1", "hasNextEvent", "ve_2")
     linked.add_edge("ve_2", "hasNextEvent", "ve_3")
     linked.seal()
-    assert linked.transitive_successors("ce_1", "hasNextEvent") == ("ve_2", "ve_3")
-    assert linked.transitive_successors("ce_1", "hasNextVesselEvent") == ()
-    assert linked.transitive_predecessors("ve_3", "hasNextVesselEvent") == ("ve_2",)
-    assert linked.transitive_successors("ghost", "hasNextVesselEvent") == ()
+    base = "SELECT ?o WHERE { st:ce_1 st:hasNextEvent ?o . }"
+    assert _agrees_with_oracle(linked, base) == [("ve_2",), ("ve_3",)]
+    alias = "SELECT ?o WHERE { st:ce_1 st:hasNextVesselEvent ?o . }"
+    assert _agrees_with_oracle(linked, alias) == []
+    into = "SELECT ?s WHERE { ?s st:hasNextVesselEvent st:ve_3 . }"
+    assert _agrees_with_oracle(linked, into) == [("ve_2",)]
+    with pytest.raises(UnresolvedNameError):
+        evaluate(parse_query("SELECT ?o WHERE { st:ghost st:hasNextVesselEvent ?o . }"), linked)
+
+
+def test_graph_lookups_take_stored_roles_only(vocab):
+    graph, _ = loop_scenario(vocab)
+    vessel_event = graph.instances_of("VesselEvent")[0]
+    assert graph.objects(vessel_event, "hasNextEvent")
+    for alias in ("hasNextVesselEvent", "hasVPort", "hasTime"):
+        for lookup in (
+            lambda: graph.objects(vessel_event, alias),
+            lambda: graph.subjects(vessel_event, alias),
+            lambda: graph.adjacency(alias, "out"),
+            lambda: list(graph.role_pairs(alias)),
+            lambda: graph.role_branching(alias),
+        ):
+            with pytest.raises(GraphError, match="alias"):
+                lookup()
+    for closure in (graph.transitive_successors, graph.transitive_predecessors):
+        with pytest.raises(GraphError, match="alias"):
+            closure(vessel_event, "hasNextVesselEvent")
+    fresh = KnowledgeGraph()
+    fresh.add_individual("ve_1", "Arrival")
+    fresh.add_individual("ve_2", "Departure")
+    with pytest.raises(GraphError, match="alias"):
+        fresh.add_edge("ve_1", "hasNextVesselEvent", "ve_2")
+    # the role table still declares the aliases, for name resolution
+    assert graph.base_role(graph.resolve_role("hasNextVesselEvent")).name == "hasNextEvent"
 
 
 def test_save_load_roundtrip(tmp_path, vocab):
@@ -385,6 +430,14 @@ def test_percent_escapes_round_trip(tmp_path):
     assert KnowledgeGraph.load(str(path)).attr("port_x", "name") == "Bad%zz Name/é"
 
 
+@pytest.mark.parametrize("node_id", ["", "car_ab c", "x\ry", "tab\there", "nl\n"])
+def test_individual_ids_that_would_not_load_back_are_rejected(node_id):
+    graph = KnowledgeGraph()
+    with pytest.raises(GraphTypeError):
+        graph.add_individual(node_id, "Carrier")
+    assert not graph.individuals
+
+
 def test_failed_save_keeps_previous_file(tmp_path, vocab):
     graph, _ = _table3_graph(vocab)
     path = tmp_path / "g.kb"
@@ -453,7 +506,7 @@ def test_populate_and_load_agree_whatever_the_declaration_order(tmp_path, vocab)
     assert graph.port_nominals == loaded.port_nominals == {"Victoria": "port_victoria_sc"}
     for concept in graph.taxonomy.concepts():
         assert graph.instances_of(concept) == loaded.instances_of(concept), concept
-    for role in graph.roles:
+    for role in (name for name, role in graph.roles.items() if role.alias_of is None):
         for direction in ("out", "in"):
             assert graph.adjacency(role, direction) == loaded.adjacency(role, direction), (
                 role,
