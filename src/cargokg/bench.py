@@ -18,8 +18,8 @@ A cell's memory figure is the process's peak RSS so far, read after the
 cell: it covers every earlier size and cell too, so it never decreases
 from one cell to the next. A cell's time is the median over its
 repetitions; with one repetition it includes the first call's cache fill
-(the parsed template and the shared graph's lazily built instance,
-branching and alias-adjacency maps).
+(the parsed template and the shared graph's lazily built instance and
+branching maps).
 """
 
 import csv

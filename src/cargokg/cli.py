@@ -74,10 +74,21 @@ class PipelineConfig:
             return config
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file %s does not hold a JSON object" % path)
         known = {f.name for f in fields(cls)}
         for key, value in data.items():
             if key not in known:
                 raise ValueError("unknown config key %r in %s" % (key, path))
+            # exact types: a JSON true is a Python int too
+            if key == "vocabulary":
+                allowed, wanted = (str, type(None)), "a string or null"
+            else:
+                allowed, wanted = (int,), "an integer"
+            if type(value) not in allowed:
+                raise ValueError(
+                    "config key %r in %s must be %s, not %r" % (key, path, wanted, value)
+                )
             setattr(config, key, value)
         return config
 
@@ -116,7 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ingest = sub.add_parser("ingest", help="parse, classify and segment a CSM CSV")
     ingest.add_argument("--input", required=True)
-    ingest.add_argument("--vocab", help="vocabulary CSV overriding the built-in table")
+    ingest.add_argument("--vocab", dest="vocabulary",
+                        help="vocabulary CSV overriding the built-in table")
     ingest.add_argument("--out-itineraries", required=True)
     ingest.add_argument("--out-events", required=True)
     ingest.add_argument("--strict-container-ids", action="store_true",
@@ -167,11 +179,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_gen(args, config: PipelineConfig) -> int:
+def _cmd_gen(args) -> int:
     from datetime import date
 
     cfg = GenConfig(
-        seed=args.seed if args.seed is not None else config.seed,
+        seed=args.seed,
         itinerary_count=args.itineraries,
         port_count=args.ports,
         vessel_count=args.vessels,
@@ -191,12 +203,8 @@ def _cmd_gen(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _load_vocab(path: Optional[str]) -> VocabularyMap:
-    return load_vocabulary(path) if path else VocabularyMap()
-
-
-def _cmd_ingest(args, config: PipelineConfig) -> int:
-    vocab = _load_vocab(args.vocab or config.vocabulary)
+def _cmd_ingest(args) -> int:
+    vocab = load_vocabulary(args.vocabulary) if args.vocabulary else VocabularyMap()
     diagnostics = Diagnostics()
     records = read_csm_csv(
         args.input,
@@ -221,20 +229,10 @@ def _cmd_ingest(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_build_kb(args, config: PipelineConfig) -> int:
+def _cmd_build_kb(args) -> int:
     itineraries = read_itineraries(args.itineraries, args.events)
     diagnostics = Diagnostics()
-    cluster = (
-        args.cluster_window_days
-        if args.cluster_window_days is not None
-        else config.cluster_window_days
-    )
-    match = (
-        args.match_window_days
-        if args.match_window_days is not None
-        else config.match_window_days
-    )
-    result = build(itineraries, cluster, match, diagnostics)
+    result = build(itineraries, args.cluster_window_days, args.match_window_days, diagnostics)
     if args.out_vessel_events or args.out_trips:
         write_vessel_stage(
             args.out_vessel_events or os.devnull,
@@ -273,7 +271,7 @@ def _resolve_binding(graph: KnowledgeGraph, value: str) -> str:
     raise GraphError("no individual or port named %r in the graph" % value)
 
 
-def _cmd_query(args, config: PipelineConfig) -> int:
+def _cmd_query(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         query = parse_query(fh.read())
     graph = KnowledgeGraph.load(args.kb)
@@ -295,13 +293,10 @@ def _cmd_query(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_detect(args, config: PipelineConfig) -> int:
+def _cmd_detect(args) -> int:
     graph = KnowledgeGraph.load(args.kb)
     kind = _PATTERN_NAMES[args.pattern]
-    threshold = (
-        args.threshold_days if args.threshold_days is not None else config.threshold_days
-    )
-    detections = run_detect(kind, graph, threshold_days=threshold, variant=args.variant)
+    detections = run_detect(kind, graph, threshold_days=args.threshold_days, variant=args.variant)
     if not args.quiet:
         print(report_text(detections), end="")
     if args.out:
@@ -312,17 +307,15 @@ def _cmd_detect(args, config: PipelineConfig) -> int:
     return 0
 
 
-def _cmd_bench(args, config: PipelineConfig) -> int:
+def _cmd_bench(args) -> int:
     sizes = [int(chunk) for chunk in args.sizes.split(",") if chunk.strip()]
     patterns = tuple(p.strip() for p in args.patterns.split(",") if p.strip())
     results = run_suite(
         sizes=sizes,
         patterns=patterns,
         repetitions=args.repetitions,
-        threshold_days=(
-            args.threshold_days if args.threshold_days is not None else config.threshold_days
-        ),
-        seed=args.seed if args.seed is not None else config.seed,
+        threshold_days=args.threshold_days,
+        seed=args.seed,
         injected_per_kind=args.injected_per_kind,
         timeout_seconds=args.timeout_seconds,
     )
@@ -354,7 +347,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = PipelineConfig.load(args.config)
-        return _COMMANDS[args.command](args, config)
+        # the config file fills each knob whose flag was not given
+        for f in fields(config):
+            if hasattr(args, f.name) and getattr(args, f.name) is None:
+                setattr(args, f.name, getattr(config, f.name))
+        return _COMMANDS[args.command](args)
     except (
         CsmParseError,
         GraphError,

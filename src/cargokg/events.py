@@ -230,6 +230,12 @@ def load_vocabulary(path: str) -> VocabularyMap:
                 leaf = (row["reference_leaf"] or "").strip()
                 if not leaf:
                     raise VocabularyError("line %d: empty reference_leaf" % i)
+                if leaf.split() != [leaf]:
+                    # the leaf becomes a concept name in graph.kb, whose
+                    # fields are separated by spaces
+                    raise VocabularyError(
+                        "line %d: reference_leaf %r holds whitespace" % (i, leaf)
+                    )
                 vocab.add_entry(row["carrier_phrase"], ReferenceEvent(leaf, top))
         except csv.Error as exc:
             raise VocabularyError("line %d: %s" % (reader.reader.line_num, exc)) from None
@@ -461,7 +467,11 @@ def iter_csm_csv(
                 raise CsmParseError(
                     "<header>", "expected columns %s" % ",".join(CSM_CSV_COLUMNS)
                 )
-            for lineno, row in enumerate(reader, start=2):
+            # a row is numbered by the physical line it starts on: a quoted
+            # field may span lines
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 row_id = row[0].strip() if row[0].strip() else "line %d" % lineno

@@ -295,6 +295,9 @@ class KnowledgeGraph:
     def add_concept(self, name: str, parent: str) -> None:
         """Extend the event taxonomy (vocabulary-file leaves)."""
         self._check_unsealed()
+        if name.split() != [name]:
+            # as for individual ids: such a name would not load back
+            raise GraphTypeError("concept name %r is empty or holds whitespace" % name)
         self.taxonomy.add(name, self.taxonomy.require(parent))
         self._extra_concepts.append((name, self.taxonomy.require(parent)))
 

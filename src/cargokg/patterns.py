@@ -8,12 +8,14 @@ An unnecessary transshipment: the vessel a container was discharged from at
 a transshipment later reaches the container's own destination port, so the
 hand-over bought nothing and often hides the shipment's true origin.
 
-Both detectors run the shipped query templates with their port placeholders
-lifted into parameters: the template is planned once, then evaluated once
-per realized anchor port (ports never touched by an itinerary cannot match
-and are skipped) passed in as a binding. Result rows become Detections
-carrying evidence and a date gap between the container's end and the
-vessel's return/arrival. Raw matches with a wide gap are almost always
+A detector is one shipped query template plus the ports its placeholders
+range over. ``DETECTORS`` maps each (pattern, variant) to that template and
+to its port parameters in binding order, each with the realized ports it
+ranges over (ports never touched by an itinerary cannot match). The template
+is planned once with its placeholders lifted into parameters, then evaluated
+once per anchor port (pair) passed in as a binding. Result rows become
+Detections carrying evidence and a date gap between the container's end and
+the vessel's return/arrival. Raw matches with a wide gap are almost always
 sequence gaps rather than anomalies, so a threshold partitions them into
 Suspicious and PrunedByDate.
 
@@ -51,27 +53,6 @@ class Verdict(Enum):
 
 class DetectTimeout(Exception):
     """Raised when a detection run exceeds its deadline."""
-
-
-@dataclass
-class PatternSpec:
-    """A detection request; ports pin the nominals, None means iterate."""
-
-    kind: PatternKind
-    port_p1: Optional[str] = None
-    port_px: Optional[str] = None
-    date_threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS
-
-    def __post_init__(self):
-        if self.date_threshold_days < 0:
-            raise ValueError("date_threshold_days must be non-negative")
-        if (
-            self.kind in (PatternKind.LOOP, PatternKind.LOOP_INTERMEDIATE)
-            and self.port_p1 is not None
-            and self.port_px is not None
-            and self.port_p1 == self.port_px
-        ):
-            raise ValueError("loop patterns need two distinct ports")
 
 
 @dataclass
@@ -116,47 +97,7 @@ class Detection:
 
 
 # ---------------------------------------------------------------------------
-# Query templates
-
-_TEMPLATE_FILES = {
-    "loop": "loop.pq",
-    "loop_filtered": "loop_filtered.pq",
-    "loop_intermediate": "loop_intermediate.pq",
-    "unnecessary_transshipment": "unnecessary_transshipment.pq",
-    "unnecessary_transshipment_unfiltered": "unnecessary_transshipment_unfiltered.pq",
-}
-
-_template_cache: Dict[str, PatternQuery] = {}
-
-
-def load_query_text(name: str) -> str:
-    """The raw text of a shipped query template."""
-    filename = _TEMPLATE_FILES[name]
-    return resources.files("cargokg.data").joinpath(filename).read_text("utf-8")
-
-
-def load_query(name: str) -> PatternQuery:
-    if name not in _template_cache:
-        _template_cache[name] = parse_query(load_query_text(name))
-    return _template_cache[name]
-
-
-def template_for(kind: PatternKind, variant: str) -> str:
-    if variant not in ("filtered", "unfiltered"):
-        raise ValueError("variant must be 'filtered' or 'unfiltered'")
-    if kind is PatternKind.LOOP:
-        return "loop_filtered" if variant == "filtered" else "loop"
-    if kind is PatternKind.LOOP_INTERMEDIATE:
-        return "loop_intermediate"  # only exists date-filtered
-    return (
-        "unnecessary_transshipment"
-        if variant == "filtered"
-        else "unnecessary_transshipment_unfiltered"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Anchors: only ports realized by some itinerary can match
+# Detectors: only ports realized by some itinerary can match
 
 
 def realized_source_ports(graph: KnowledgeGraph) -> List[str]:
@@ -174,21 +115,47 @@ def realized_visited_ports(graph: KnowledgeGraph) -> List[str]:
     return sorted(ports)
 
 
-# Per template, its port parameters in binding order: parameter → (the
-# PatternSpec field that pins it, the realized ports it otherwise ranges
-# over). The pair form of Loop is anchored at (source, destination) pairs.
-_ANCHORS: Dict[str, Dict[str, Tuple[str, Callable[[KnowledgeGraph], List[str]]]]] = {
-    "loop_filtered": {"port": ("port_p1", realized_source_ports)},
-    "loop": {
-        "port1": ("port_p1", realized_source_ports),
-        "port2": ("port_px", realized_destination_ports),
-    },
-    "loop_intermediate": {"port": ("port_p1", realized_visited_ports)},
-    "unnecessary_transshipment": {"port": ("port_px", realized_destination_ports)},
-    "unnecessary_transshipment_unfiltered": {
-        "port": ("port_px", realized_destination_ports)
-    },
+Anchors = Dict[str, Callable[[KnowledgeGraph], List[str]]]
+
+# (pattern, variant) -> (template, its port parameters in binding order, each
+# with the realized ports it ranges over). A loop's first parameter is its p1.
+# Every other parameter, and the only one of unnecessary transshipment, is
+# tied in its template to the itinerary's destination, which the evidence
+# reads directly. The pair form of Loop is anchored at (source, destination)
+# pairs, and LoopIntermediate only exists date-filtered.
+_LOOP_INTERMEDIATE: Tuple[str, Anchors] = (
+    "loop_intermediate", {"port": realized_visited_ports}
+)
+DETECTORS: Dict[Tuple[PatternKind, str], Tuple[str, Anchors]] = {
+    (PatternKind.LOOP, "filtered"): ("loop_filtered", {"port": realized_source_ports}),
+    (PatternKind.LOOP, "unfiltered"): (
+        "loop",
+        {"port1": realized_source_ports, "port2": realized_destination_ports},
+    ),
+    (PatternKind.LOOP_INTERMEDIATE, "filtered"): _LOOP_INTERMEDIATE,
+    (PatternKind.LOOP_INTERMEDIATE, "unfiltered"): _LOOP_INTERMEDIATE,
+    (PatternKind.UNNECESSARY_TRANSSHIPMENT, "filtered"): (
+        "unnecessary_transshipment", {"port": realized_destination_ports}
+    ),
+    (PatternKind.UNNECESSARY_TRANSSHIPMENT, "unfiltered"): (
+        "unnecessary_transshipment_unfiltered", {"port": realized_destination_ports}
+    ),
 }
+
+_template_cache: Dict[str, PatternQuery] = {}
+
+
+def load_query_text(name: str) -> str:
+    """The raw text of a shipped query template."""
+    if name not in (template for template, _ in DETECTORS.values()):
+        raise KeyError(name)  # the name becomes a file path
+    return resources.files("cargokg.data").joinpath(name + ".pq").read_text("utf-8")
+
+
+def load_query(name: str) -> PatternQuery:
+    if name not in _template_cache:
+        _template_cache[name] = parse_query(load_query_text(name))
+    return _template_cache[name]
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +202,10 @@ def _build_detection(
     graph: KnowledgeGraph,
     kind: PatternKind,
     row: Dict[str, str],
-    p1_node: str,
-    px_node: Optional[str],
+    p1_node: Optional[str],
 ) -> Detection:
+    """``p1_node`` is a loop's anchor port, None for unnecessary
+    transshipment; the evidence's px is always the itinerary's destination."""
     ci = row["c"]
     end_date = _date_of(graph, row["cd"])
     vessel_date = _event_date(graph, row["v1"])
@@ -253,18 +221,15 @@ def _build_detection(
         vessel2 = _vessel_of(graph, row["v"])
         vessel1 = _adjacent_vessel(graph, t, "before", "hasDischargingVessel")
     t_ports = graph.objects(t, "hasLocation")
-    if px_node is None:
-        dests = graph.objects(ci, "hasCIDestinationPort")
-        px_node = dests[0] if dests else None
-    is_ut = kind is PatternKind.UNNECESSARY_TRANSSHIPMENT
+    dests = graph.objects(ci, "hasCIDestinationPort")
     evidence = Evidence(
         container_id=container,
         transshipment_event_id=graph.attr(t, "label") or t,
         transshipment_port=_port_name(graph, t_ports[0]) if t_ports else "",
         vessel1=vessel1,
         vessel2=vessel2,
-        port_p1="" if is_ut else _port_name(graph, p1_node),
-        port_px=_port_name(graph, px_node) if px_node else "",
+        port_p1=_port_name(graph, p1_node) if p1_node else "",
+        port_px=_port_name(graph, dests[0]) if dests else "",
         container_end_date=end_date,
         vessel_date=vessel_date,
     )
@@ -304,7 +269,7 @@ def _rows_to_detections(
     graph: KnowledgeGraph,
     kind: PatternKind,
     rows: List[Dict[str, str]],
-    anchors: Dict[str, Tuple[str, Callable]],
+    anchors: Anchors,
 ) -> List[Detection]:
     """Group full binding rows by (anchor ports, itinerary, end date, vessel
     date) — per anchor, the identity the projected DISTINCT form would give —
@@ -320,13 +285,11 @@ def _rows_to_detections(
         candidate_rank = tuple(row[k] for k in sorted(row))
         if best is None or candidate_rank < tuple(best[k] for k in sorted(best)):
             groups[key] = row
-    detections = []
-    for _, row in sorted(groups.items(), key=lambda kv: kv[0][:2]):
-        ports = {field: row[name] for name, (field, _) in anchors.items()}
-        detections.append(
-            _build_detection(graph, kind, row, ports.get("port_p1"), ports.get("port_px"))
-        )
-    return detections
+    p1 = None if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT else next(iter(anchors))
+    return [
+        _build_detection(graph, kind, row, row[p1] if p1 else None)
+        for _, row in sorted(groups.items(), key=lambda kv: kv[0][:2])
+    ]
 
 
 def detect(
@@ -334,7 +297,6 @@ def detect(
     graph: KnowledgeGraph,
     threshold_days: int = DEFAULT_DATE_THRESHOLD_DAYS,
     variant: str = "filtered",
-    spec: Optional[PatternSpec] = None,
     deadline_seconds: Optional[float] = None,
     diagnostics: Optional[Diagnostics] = None,
 ) -> List[Detection]:
@@ -345,18 +307,16 @@ def detect(
     ``deadline_seconds`` bounds the wall time (DetectTimeout on expiry,
     checked between anchors).
     """
-    if spec is None:
-        spec = PatternSpec(kind, date_threshold_days=threshold_days)
+    if threshold_days < 0:
+        raise ValueError("threshold_days must be non-negative")
+    if (kind, variant) not in DETECTORS:
+        raise ValueError("no detector for pattern %r, variant %r" % (kind, variant))
     started = time.monotonic()
-    template_name = template_for(kind, variant)
-    anchors = _ANCHORS[template_name]
+    template_name, anchors = DETECTORS[kind, variant]
     template = substitute_nominals(
         load_query(template_name), {name: Var(name) for name in anchors}
     )
-    ranges = [
-        [getattr(spec, field)] if getattr(spec, field) else realized(graph)
-        for field, realized in anchors.values()
-    ]
+    ranges = [realized(graph) for realized in anchors.values()]
 
     def bindings() -> Iterator[Dict[str, str]]:
         for ports in product(*ranges):
@@ -368,7 +328,7 @@ def detect(
 
     rows = evaluate_rows(template, graph, diagnostics, bindings())
     detections = _rows_to_detections(graph, kind, rows, anchors)
-    suspicious, pruned = prune_by_date(detections, spec.date_threshold_days)
+    suspicious, pruned = prune_by_date(detections, threshold_days)
     merged = suspicious + pruned
     merged.sort(key=Detection.sort_key)
     return merged

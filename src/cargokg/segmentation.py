@@ -314,16 +314,36 @@ def event_to_json(e: ContainerEvent) -> dict:
     return doc
 
 
+def _text(value: object, field: str) -> str:
+    """``value`` if it is a string; a number or list where a name belongs
+    would otherwise fail far downstream, away from its file and line."""
+    if not isinstance(value, str):
+        raise TypeError("field %s holds %s, not a string" % (field, type(value).__name__))
+    return value
+
+
+def _location(doc: dict, field: str) -> Location:
+    place = doc[field]
+    return Location(
+        _text(place["name"], field + ".name"), _text(place["country"], field + ".country")
+    )
+
+
+def _vessel(doc: dict, field: str) -> Optional[str]:
+    value = doc.get(field)
+    return None if value is None else _text(value, field)
+
+
 def event_from_json(doc: dict) -> ContainerEvent:
     return ContainerEvent(
-        event_id=doc["event_id"],
-        container_id=doc["container_id"],
+        event_id=_text(doc["event_id"], "event_id"),
+        container_id=_text(doc["container_id"], "container_id"),
         time=date.fromisoformat(doc["time"]),
-        location=Location(doc["location"]["name"], doc["location"]["country"]),
-        ref_event=ReferenceEvent(doc["ref_event"], TopClass(doc["top_class"])),
+        location=_location(doc, "location"),
+        ref_event=ReferenceEvent(_text(doc["ref_event"], "ref_event"), TopClass(doc["top_class"])),
         loading_status=LoadingStatus(doc["loading_status"]),
-        loading_vessel=doc.get("loading_vessel"),
-        discharging_vessel=doc.get("discharging_vessel"),
+        loading_vessel=_vessel(doc, "loading_vessel"),
+        discharging_vessel=_vessel(doc, "discharging_vessel"),
         vessel_inferred=doc.get("vessel_inferred", False),
     )
 
@@ -351,13 +371,14 @@ def itinerary_from_json(
     missing = [eid for eid in doc["events"] if eid not in events_by_id]
     if missing:
         raise LookupError("event %s is not in the events file" % missing[0])
-    dest = doc["destination_port"]
     return ContainerItinerary(
-        itinerary_id=doc["itinerary_id"],
-        container_id=doc["container_id"],
+        itinerary_id=_text(doc["itinerary_id"], "itinerary_id"),
+        container_id=_text(doc["container_id"], "container_id"),
         events=[events_by_id[eid] for eid in doc["events"]],
-        source_port=Location(doc["source_port"]["name"], doc["source_port"]["country"]),
-        destination_port=Location(dest["name"], dest["country"]) if dest else None,
+        source_port=_location(doc, "source_port"),
+        destination_port=(
+            _location(doc, "destination_port") if doc["destination_port"] else None
+        ),
         start_time=date.fromisoformat(doc["start_time"]),
         end_time=date.fromisoformat(doc["end_time"]),
         completeness=Completeness(doc["completeness"]),

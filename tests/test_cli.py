@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cargokg.cli import main
-from cargokg.events import CSM_CSV_COLUMNS, read_csm_csv, write_csm_csv
+from cargokg.events import CSM_CSV_COLUMNS, VocabularyMap, read_csm_csv, write_csm_csv
 from cargokg.graph import KnowledgeGraph
 from cargokg.patterns import load_query_text
-from cargokg.pipeline import run_pipeline
+from cargokg.pipeline import ingest, run_pipeline
+from cargokg.segmentation import event_to_json, itinerary_to_json
 from cargokg.synthgen import GenConfig, generate
 
 from helpers import loop_scenario, table3_records, unnecessary_scenario
@@ -373,12 +374,11 @@ def test_an_oversized_vocabulary_field_is_a_vocabulary_error(tmp_path, capsys):
 
 # A small dataset with vessel calls, transshipments and one injected loop,
 # as CSV rows, header first.
-_BASE_ROWS = _csv_rows(
-    generate(
-        GenConfig(seed=3, itinerary_count=8, port_count=5, vessel_count=3,
-                  transshipment_rate=0.5, injected_loops=1, injected_unnecessary=1)
-    )[0]
-)
+_BASE_RECORDS = generate(
+    GenConfig(seed=3, itinerary_count=8, port_count=5, vessel_count=3,
+              transshipment_rate=0.5, injected_loops=1, injected_unnecessary=1)
+)[0]
+_BASE_ROWS = _csv_rows(_BASE_RECORDS)
 _INSERTS = [" ", "  ", "\t", "\n", "\r", "\u00a0", "-", "_", ".", ",", "'", '"', "(", ")",
             "/", "%", "=", "#", "|", ";"]
 _EDIT = st.tuples(
@@ -424,6 +424,198 @@ def test_mutated_csm_rows_exit_cleanly_and_build_graphs_that_load(edits):
         code = _main_quietly(
             "build-kb", "--itineraries", at("it.jsonl"), "--events", at("ev.jsonl"),
             "--out", at("graph.kb"),
+        )
+        assert code in (0, 1)
+        if code:
+            return
+        KnowledgeGraph.load(at("graph.kb"))
+        assert _main_quietly("detect", "loop", "--kb", at("graph.kb"), "--quiet") == 0
+
+
+def test_a_vocabulary_leaf_holding_whitespace_is_a_vocabulary_error(tmp_path, capsys):
+    csm, vocab = tmp_path / "t3.csv", tmp_path / "vocab.csv"
+    write_csm_csv(str(csm), table3_records())
+    _write_rows(vocab, [["carrier_phrase", "reference_leaf", "top_class"],
+                        ["Gate In", "Gate Inn", "TripStart"]])
+    code, _, err = _run(
+        capsys, "ingest", "--input", str(csm), "--vocab", str(vocab),
+        "--out-itineraries", str(tmp_path / "it.jsonl"),
+        "--out-events", str(tmp_path / "ev.jsonl"),
+    )
+    assert code == 1
+    assert "error: line 2: reference_leaf 'Gate Inn' holds whitespace" in err
+
+
+def test_stage_fields_of_the_wrong_type_are_stage_file_errors(tmp_path, capsys):
+    csm = tmp_path / "t3.csv"
+    write_csm_csv(str(csm), table3_records())
+    itineraries, events = tmp_path / "it.jsonl", tmp_path / "ev.jsonl"
+    assert _run(capsys, "ingest", "--input", str(csm), "--out-itineraries", str(itineraries),
+                "--out-events", str(events))[0] == 0
+    build = ("build-kb", "--itineraries", str(itineraries), "--events", str(events),
+             "--out", str(tmp_path / "g.kb"))
+    originals = {path: path.read_text().splitlines() for path in (itineraries, events)}
+    for path, field, value in [
+        (events, ("location", "name"), 5),
+        (events, ("loading_vessel",), 7),
+        (events, ("ref_event",), ["GateIn"]),
+        (itineraries, ("source_port", "country"), 1.5),
+        (itineraries, ("itinerary_id",), None),
+    ]:
+        lines = originals[path]
+        path.write_text("\n".join([json.dumps(_set(lines[0], field, value))] + lines[1:]) + "\n")
+        code, _, err = _run(capsys, *build)
+        path.write_text("\n".join(lines) + "\n")
+        assert code == 1, field
+        assert "error: %s line 1: field %s holds" % (path, ".".join(field)) in err
+
+
+def _set(line, field, value):
+    """The JSON record ``line`` with the (nested) ``field`` set to ``value``."""
+    doc = json.loads(line)
+    inner = doc
+    for name in field[:-1]:
+        inner = inner[name]
+    inner[field[-1]] = value
+    return doc
+
+
+def test_flags_beat_the_config_file_and_the_file_beats_the_defaults(
+    tmp_path, capsys, monkeypatch, vocab
+):
+    graph, _ = loop_scenario(vocab)
+    kb = tmp_path / "fig5.kb"
+    graph.save(str(kb))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"threshold_days": 0, "seed": 5}))
+    monkeypatch.setenv("CARGOKG_CONFIG", str(config))
+    detect = ("detect", "loop", "--kb", str(kb), "--quiet")
+    # the loop's gap is 1 day: suspicious at the default 3 days, not at 0
+    assert "suspicious=0" in _run(capsys, *detect)[1]
+    assert "suspicious=1" in _run(capsys, *detect, "--threshold-days", "1")[1]
+
+    def gen(name, *flags):
+        argv = ("gen", "--itineraries", "5", "--ports", "4", "--vessels", "3",
+                "--out", str(tmp_path / name)) + flags
+        assert _run(capsys, *argv)[0] == 0
+        return (tmp_path / name).read_bytes()
+
+    from_file, from_flag = gen("file.csv"), gen("flag.csv", "--seed", "42")
+    monkeypatch.delenv("CARGOKG_CONFIG")
+    assert gen("default.csv") == from_flag != from_file
+    assert gen("five.csv", "--seed", "5") == from_file
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"threshold_days": "3"}', "config key 'threshold_days' in %s must be an integer"),
+    ('{"seed": "x"}', "config key 'seed' in %s must be an integer"),
+    ('{"seed": true}', "config key 'seed' in %s must be an integer"),
+    ('{"match_window_days": 1.5}', "config key 'match_window_days' in %s must be an integer"),
+    ('{"vocabulary": 5}', "config key 'vocabulary' in %s must be a string or null"),
+    ("[1, 2]", "config file %s does not hold a JSON object"),
+])
+def test_config_values_of_the_wrong_type_are_errors(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, _, err = _run(capsys, "--config", str(config), "gen", "--itineraries", "5",
+                        "--ports", "4", "--vessels", "3", "--out", str(tmp_path / "csm.csv"))
+    assert code == 1
+    assert "error: " + message % config in err
+    assert not (tmp_path / "csm.csv").exists()
+
+
+def test_a_negative_threshold_is_an_error(tmp_path, capsys, vocab):
+    graph, _ = loop_scenario(vocab)
+    graph.save(str(tmp_path / "fig5.kb"))
+    code, _, err = _run(capsys, "detect", "loop", "--kb", str(tmp_path / "fig5.kb"),
+                        "--threshold-days", "-1")
+    assert code == 1
+    assert "error: threshold_days must be non-negative" in err
+
+
+# The stage files that ``ingest`` writes for the dataset above, as records,
+# and the fields of each that an edit may touch.
+_BASE_ITINERARIES = ingest(_BASE_RECORDS, VocabularyMap())[1]
+_STAGE_DOCS = {
+    "events": [event_to_json(e) for it in _BASE_ITINERARIES for e in it.events],
+    "itineraries": [itinerary_to_json(it) for it in _BASE_ITINERARIES],
+}
+_STAGE_FIELDS = {
+    "events": [("event_id",), ("container_id",), ("time",), ("location",),
+               ("location", "name"), ("location", "country"), ("ref_event",), ("top_class",),
+               ("loading_status",), ("loading_vessel",), ("discharging_vessel",),
+               ("vessel_inferred",)],
+    "itineraries": [("itinerary_id",), ("container_id",), ("source_port", "name"),
+                    ("source_port", "country"), ("destination_port",),
+                    ("destination_port", "name"), ("start_time",), ("end_time",),
+                    ("completeness",), ("events",)],
+}
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.just(1.5), st.text(max_size=6),
+    st.sampled_from(["", " ", "Gate Inn", "GateIn", "Port", "Thing", "2010-02-30", "Full",
+                     "TripStart", "a\nb", "%", "="]),
+    st.lists(st.integers(0, 3), max_size=2), st.just({}), st.just({"name": "X"}),
+)
+_STAGE_EDIT = st.tuples(
+    st.sampled_from(sorted(_STAGE_DOCS)),
+    st.integers(min_value=0, max_value=200),  # record, modulo the record count
+    st.integers(min_value=0, max_value=20),  # field, modulo the field count
+    st.one_of(
+        st.tuples(st.just("set"), _JSON_VALUES),
+        st.tuples(st.just("insert"), st.sampled_from(_INSERTS), st.integers(0, 20)),
+        st.tuples(st.just("truncate"), st.integers(0, 20)),
+        st.tuples(st.just("copy"), st.integers(0, 200)),  # another record's value
+        st.tuples(st.just("delete")),
+    ),
+)
+
+
+def _edited_stage_docs(edits):
+    docs = json.loads(json.dumps(_STAGE_DOCS))
+    for name, record, field, (op, *arg) in edits:
+        records, fields = docs[name], _STAGE_FIELDS[name]
+        path = fields[field % len(fields)]
+        doc = records[record % len(records)]
+        for key in path[:-1]:
+            doc = doc.get(key)
+            if not isinstance(doc, dict):
+                break
+        else:
+            key = path[-1]
+            value = doc.get(key)
+            if op == "set":
+                doc[key] = arg[0]
+            elif op == "delete":
+                doc.pop(key, None)
+            elif op == "copy":
+                source = records[arg[0] % len(records)]
+                for part in path:
+                    source = source.get(part) if isinstance(source, dict) else None
+                doc[key] = source
+            elif op == "truncate" and isinstance(value, str):
+                doc[key] = value[:arg[0]]
+            elif op == "insert" and isinstance(value, str):
+                text, position = arg
+                doc[key] = value[:position] + text + value[position:]
+    return docs
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(edits=st.lists(_STAGE_EDIT, min_size=1, max_size=3))
+@example(edits=[("events", 0, 6, ("set", "Gate Inn"))])  # a leaf holding a space
+@example(edits=[("events", 0, 4, ("set", 5))])  # a numeric location name
+def test_mutated_stage_files_exit_cleanly_and_build_graphs_that_load(edits):
+    docs = _edited_stage_docs(edits)
+    with tempfile.TemporaryDirectory() as work:
+        def at(name):
+            return os.path.join(work, name)
+
+        for name, records in docs.items():
+            with open(at(name + ".jsonl"), "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(doc, sort_keys=True) + "\n" for doc in records)
+        code = _main_quietly(
+            "build-kb", "--itineraries", at("itineraries.jsonl"),
+            "--events", at("events.jsonl"), "--out", at("graph.kb"),
         )
         assert code in (0, 1)
         if code:

@@ -10,7 +10,7 @@ from cargokg.diagnostics import Diagnostics
 from cargokg.engine import UnresolvedNameError, evaluate, evaluate_rows, plan, resolve_names
 from cargokg.graph import KnowledgeGraph, timestamp_node
 from cargokg.events import timestamp_literal
-from cargokg.patterns import _TEMPLATE_FILES, load_query
+from cargokg.patterns import DETECTORS, load_query
 from cargokg.queries import Const, RoleAtom, Var, parse_query, substitute_nominals
 
 from helpers import loop_scenario, unnecessary_scenario
@@ -297,10 +297,10 @@ def _check_bindings_equal_substitutions(graph):
     """For every shipped template, one call with a binding per port (pair)
     gives the union of the substituted queries' rows, port columns added."""
     ports = sorted(n for n in graph.individuals if n.startswith("port_"))
-    for name in _TEMPLATE_FILES:
+    for name, anchors in dict(DETECTORS.values()).items():
         template = load_query(name)
-        params = _placeholders(template)
-        assert params, name
+        params = list(anchors)
+        assert _placeholders(template) == sorted(params), name
         bindings = [dict(zip(params, nodes)) for nodes in product(ports, repeat=len(params))]
         expected = [
             {**row, **binding}

@@ -147,6 +147,17 @@ def test_csv_skip_vs_abort(tmp_path):
         read_csm_csv(str(path), on_error="abort")
 
 
+def test_csv_rows_are_numbered_by_the_physical_line_they_start_on(tmp_path):
+    path = tmp_path / "csm.csv"
+    path.write_text(
+        "csm_id,container_id,date,event,location,country,loading_status,vessel\n"
+        '1,ABCD1234560,2010-01-01,"Gate\nIn",Shangai,CN,Full,\n'
+        ",ABCD1234560,bad-date,Gate In,Shangai,CN,Full,\n"
+    )
+    with pytest.raises(CsmParseError, match="row line 4: malformed date 'bad-date'"):
+        read_csm_csv(str(path), on_error="abort")
+
+
 def test_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")

@@ -438,6 +438,14 @@ def test_individual_ids_that_would_not_load_back_are_rejected(node_id):
     assert not graph.individuals
 
 
+@pytest.mark.parametrize("name", ["", "Gate Inn", "x\ry", "tab\there", "nl\n"])
+def test_concept_names_that_would_not_load_back_are_rejected(name):
+    graph = KnowledgeGraph()
+    with pytest.raises(GraphTypeError):
+        graph.add_concept(name, "TripStart")
+    assert graph.taxonomy.resolve(name) is None
+
+
 def test_failed_save_keeps_previous_file(tmp_path, vocab):
     graph, _ = _table3_graph(vocab)
     path = tmp_path / "g.kb"

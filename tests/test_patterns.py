@@ -9,8 +9,8 @@ from cargokg.patterns import (
     Detection,
     DetectTimeout,
     Evidence,
+    DETECTORS,
     PatternKind,
-    PatternSpec,
     Verdict,
     detect,
     prune_by_date,
@@ -219,23 +219,26 @@ def test_report_combined(tmp_path, vocab):
     assert rows[2][0] == "UnnecessaryTransshipment"
 
 
-def test_fixed_port_spec(vocab):
-    graph, _ = unnecessary_scenario(vocab)
-    spec = PatternSpec(
-        PatternKind.UNNECESSARY_TRANSSHIPMENT, port_px="port_p4_xx"
-    )
-    assert len(detect(PatternKind.UNNECESSARY_TRANSSHIPMENT, graph, spec=spec)) == 1
-    other = PatternSpec(
-        PatternKind.UNNECESSARY_TRANSSHIPMENT, port_px="port_p1_xx"
-    )
-    assert detect(PatternKind.UNNECESSARY_TRANSSHIPMENT, graph, spec=other) == []
+def test_detectors_cover_every_cell_and_anchor_their_evidence(vocab):
+    assert set(DETECTORS) == {(kind, variant) for kind in PatternKind
+                              for variant in ("filtered", "unfiltered")}
+    ut_graph, _ = unnecessary_scenario(vocab)
+    loop_graph, _ = loop_scenario(vocab)
+    for variant in ("filtered", "unfiltered"):
+        [ut] = detect(PatternKind.UNNECESSARY_TRANSSHIPMENT, ut_graph, variant=variant)
+        assert (ut.evidence.port_p1, ut.evidence.port_px) == ("", "P4")
+        [loop] = detect(PatternKind.LOOP, loop_graph, variant=variant)
+        assert (loop.evidence.port_p1, loop.evidence.port_px) == ("P1", "PX")
 
 
-def test_pattern_spec_validation():
-    with pytest.raises(ValueError):
-        PatternSpec(PatternKind.LOOP, port_p1="a", port_px="a")
-    with pytest.raises(ValueError):
-        PatternSpec(PatternKind.LOOP, date_threshold_days=-1)
+def test_detect_rejects_a_negative_threshold_and_an_unknown_cell(vocab):
+    graph, _ = loop_scenario(vocab)
+    with pytest.raises(ValueError, match="non-negative"):
+        detect(PatternKind.LOOP, graph, threshold_days=-1)
+    with pytest.raises(ValueError, match="no detector"):
+        detect(PatternKind.LOOP, graph, variant="sideways")
+    with pytest.raises(ValueError, match="no detector"):
+        detect("Loop", graph)
 
 
 def test_detect_deadline(vocab):

@@ -26,6 +26,13 @@ def test_unnecessary_transshipment_template_shape():
     assert query.filters[0] == DateCompare("vesStop", ">", "endCI")
 
 
+def test_only_shipped_template_names_load():
+    # the name becomes a file path under the package's data directory
+    for name in ("../loop", "loop.pq", "data/loop", ""):
+        with pytest.raises(KeyError):
+            load_query_text(name)
+
+
 def test_loop_templates_parse():
     unfiltered = parse_query(load_query_text("loop"))
     filtered = parse_query(load_query_text("loop_filtered"))
