@@ -35,7 +35,7 @@ from .events import (
 )
 # populate stays importable from here: the chain benchmark's tracer test
 # checks that its wrapper reaches every module holding the name
-from .graph import GraphError, KnowledgeGraph, populate  # noqa: F401
+from .graph import GraphError, KnowledgeGraph, collector_paused, populate  # noqa: F401
 from .linking import DEFAULT_MATCH_WINDOW_DAYS, write_bindings
 from .patterns import (
     DEFAULT_DATE_THRESHOLD_DAYS,
@@ -203,6 +203,7 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+@collector_paused()
 def _cmd_ingest(args) -> int:
     vocab = load_vocabulary(args.vocabulary) if args.vocabulary else VocabularyMap()
     diagnostics = Diagnostics()
@@ -229,6 +230,7 @@ def _cmd_ingest(args) -> int:
     return 0
 
 
+@collector_paused()
 def _cmd_build_kb(args) -> int:
     itineraries = read_itineraries(args.itineraries, args.events)
     diagnostics = Diagnostics()

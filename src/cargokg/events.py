@@ -214,20 +214,28 @@ def load_vocabulary(path: str) -> VocabularyMap:
     vocab = VocabularyMap()
     top_by_value = {tc.value: tc for tc in TopClass}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
         try:
+            header = next(reader, None)
             required = {"carrier_phrase", "reference_leaf", "top_class"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+            if header is None or not required.issubset(header):
                 raise VocabularyError(
                     "vocabulary file must have columns carrier_phrase, reference_leaf, top_class"
                 )
-            for i, row in enumerate(reader, start=2):
-                top = top_by_value.get((row["top_class"] or "").strip())
+            # a row is numbered by the physical line it starts on: a quoted
+            # field may span lines
+            start = reader.line_num + 1
+            for values in reader:
+                i, start = start, reader.line_num + 1
+                if not values:
+                    continue
+                row = dict(zip(header, values))  # a short row lacks its last columns
+                top = top_by_value.get((row.get("top_class") or "").strip())
                 if top is None:
                     raise VocabularyError(
-                        "line %d: unknown top class %r" % (i, row["top_class"])
+                        "line %d: unknown top class %r" % (i, row.get("top_class"))
                     )
-                leaf = (row["reference_leaf"] or "").strip()
+                leaf = (row.get("reference_leaf") or "").strip()
                 if not leaf:
                     raise VocabularyError("line %d: empty reference_leaf" % i)
                 if leaf.split() != [leaf]:
@@ -236,9 +244,12 @@ def load_vocabulary(path: str) -> VocabularyMap:
                     raise VocabularyError(
                         "line %d: reference_leaf %r holds whitespace" % (i, leaf)
                     )
-                vocab.add_entry(row["carrier_phrase"], ReferenceEvent(leaf, top))
+                phrase = row.get("carrier_phrase")
+                if phrase is None:
+                    raise VocabularyError("line %d: no carrier_phrase" % i)
+                vocab.add_entry(phrase, ReferenceEvent(leaf, top))
         except csv.Error as exc:
-            raise VocabularyError("line %d: %s" % (reader.reader.line_num, exc)) from None
+            raise VocabularyError("line %d: %s" % (reader.line_num, exc)) from None
     return vocab
 
 

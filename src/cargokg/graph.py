@@ -31,9 +31,11 @@ the ISO date sits at 1-indexed offset 5, length 10, which is what the
 substring binds in the query dialect rely on.
 """
 
+import gc
 import os
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
@@ -82,6 +84,25 @@ def _unescape(value: str) -> Optional[str]:
 
 def _norm(name: str) -> str:
     return _NORM_RE.sub("", name.lower())
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Keep the cyclic garbage collector off for the body, then restore it.
+
+    The bulk stages (the ``ingest`` and ``build-kb`` commands, graph load)
+    make hundreds of thousands of long-lived objects and no reference
+    cycles, so the collections their allocations set off would only rescan
+    objects that live on. Only a pause that found the collector on turns it
+    back on, so pauses nest. Usable as a decorator too.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +279,7 @@ def builtin_taxonomy() -> ConceptTaxonomy:
 # The graph
 
 
-@dataclass
+@dataclass(slots=True)
 class Individual:
     concept: str
     attrs: Dict[str, str] = field(default_factory=dict)
@@ -546,6 +567,7 @@ class KnowledgeGraph:
             raise
 
     @classmethod
+    @collector_paused()
     def load(cls, path: str) -> "KnowledgeGraph":
         """Read a file written by :meth:`save`, sealed. Whatever the file
         holds, this returns a sealed graph or raises :class:`GraphError`; a
@@ -724,8 +746,15 @@ def populate(
         previous: Optional[str] = None
         for e in it.events:
             leaf = e.ref_event.leaf
-            if graph.taxonomy.resolve(leaf) is None:
-                graph.add_concept(leaf, _TOP_CLASS_CONCEPT[e.ref_event.top_class])
+            top = _TOP_CLASS_CONCEPT[e.ref_event.top_class]
+            concept = graph.taxonomy.resolve(leaf)
+            if concept is None:
+                graph.add_concept(leaf, top)
+            elif not graph.taxonomy.is_subclass(concept, top):
+                raise GraphTypeError(
+                    "event %s: reference event %s resolves to concept %s, outside its"
+                    " top class %s" % (e.event_id, leaf, concept, top)
+                )
             ce = events[e.event_id] = container_event_node(e.event_id)
             graph.add_individual(ce, leaf, label=e.event_id)
             graph.add_edge(ci, "hasContainerEvent", ce)

@@ -470,6 +470,25 @@ def test_stage_fields_of_the_wrong_type_are_stage_file_errors(tmp_path, capsys):
         assert "error: %s line 1: field %s holds" % (path, ".".join(field)) in err
 
 
+def test_a_reference_event_outside_its_top_class_is_a_graph_type_error(tmp_path, capsys):
+    csm = tmp_path / "t3.csv"
+    write_csm_csv(str(csm), table3_records())
+    itineraries, events = tmp_path / "it.jsonl", tmp_path / "ev.jsonl"
+    assert _run(capsys, "ingest", "--input", str(csm), "--out-itineraries", str(itineraries),
+                "--out-events", str(events))[0] == 0
+    lines = events.read_text().splitlines()
+    first = json.loads(lines[0])
+    assert first["top_class"] == "TripStart"
+    events.write_text("\n".join([json.dumps(_set(lines[0], ("ref_event",), "TripEnd"))]
+                                + lines[1:]) + "\n")
+    code, _, err = _run(capsys, "build-kb", "--itineraries", str(itineraries),
+                        "--events", str(events), "--out", str(tmp_path / "g.kb"))
+    assert code == 1
+    assert ("error: event %s: reference event TripEnd resolves to concept TripEnd, outside"
+            " its top class TripStart" % first["event_id"]) in err
+    assert not (tmp_path / "g.kb").exists()
+
+
 def _set(line, field, value):
     """The JSON record ``line`` with the (nested) ``field`` set to ``value``."""
     doc = json.loads(line)

@@ -188,6 +188,24 @@ def test_vocabulary_file(tmp_path):
         load_vocabulary(str(clash))
 
 
+def test_vocabulary_rows_are_numbered_by_the_physical_line_they_start_on(tmp_path):
+    path = tmp_path / "vocab.csv"
+    path.write_text(
+        "carrier_phrase,reference_leaf,top_class\n"
+        '"Gate\nIn",GateIn,TripStart\n'
+        "Rail load,RailLoad,NotAClass\n"
+    )
+    with pytest.raises(VocabularyError, match="line 4: unknown top class 'NotAClass'"):
+        load_vocabulary(str(path))
+
+
+def test_a_vocabulary_row_without_a_carrier_phrase_is_a_vocabulary_error(tmp_path):
+    path = tmp_path / "vocab.csv"
+    path.write_text("top_class,reference_leaf,carrier_phrase\nTripStart,RailLoad\n")
+    with pytest.raises(VocabularyError, match="line 2: no carrier_phrase"):
+        load_vocabulary(str(path))
+
+
 def test_check_digit_table():
     # spot values from the public algorithm: A=10, U=32, digits face value
     assert iso6346_check_digit("CSQU305438") == 3
