@@ -360,7 +360,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         InfeasibleConfigError,
         QuerySyntaxError,
         VocabularyError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print("error: %s" % exc, file=sys.stderr)

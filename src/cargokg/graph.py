@@ -32,7 +32,6 @@ substring binds in the query dialect rely on.
 """
 
 import gc
-import os
 import re
 import sys
 from contextlib import contextmanager
@@ -41,6 +40,7 @@ from datetime import date
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
+from .atomicfile import atomic_write
 from .events import Location, TopClass, slug, timestamp_literal
 from .linking import BindingKind, TransshipmentBinding
 from .segmentation import ContainerItinerary
@@ -63,6 +63,10 @@ class GraphFormatError(GraphError):
 class SealedGraphError(GraphError):
     """Mutation attempted after seal, or query before seal."""
 
+
+# individuals whose records save joins and writes at a time: some tens of
+# KB of text per write
+_SAVE_CHUNK = 256
 
 _NORM_RE = re.compile(r"[^a-z0-9]")
 # a "%" that does not start a two-digit hex escape
@@ -525,46 +529,47 @@ class KnowledgeGraph:
     # -- serialization ------------------------------------------------------
 
     def save(self, path: str) -> None:
-        lines: List[str] = []
-        individuals = sorted(self.individuals)
-        edges: List[Tuple[str, str, str]] = []
-        for role_name in sorted(self._out):
-            adjacency = self._out[role_name]
-            for subject in adjacency:
-                for obj in adjacency[subject]:
-                    edges.append((subject, role_name, obj))
-        edges.sort()
-        lines.append(
-            "%s %d %d %d %d"
-            % (
-                self.FORMAT_MAGIC,
-                self.FORMAT_VERSION,
-                len(self._extra_concepts),
-                len(individuals),
-                len(edges),
+        """Write the graph to ``path`` in the format :meth:`load` reads.
+
+        The header counts come from what the graph stores. Then come the
+        extra concepts, the individuals in id order, and the edges in
+        (subject, role, object) order: for each individual in id order,
+        its stored roles in name order, each with its sorted objects. The
+        records are joined and written ``_SAVE_CHUNK`` individuals at a
+        time, so the file is never held whole in memory. Only seal sorts
+        each subject's objects, so an unsealed graph is refused with
+        :class:`SealedGraphError`. The file is replaced atomically: a failed
+        save leaves the previous file as it was.
+        """
+        if not self.sealed:
+            raise SealedGraphError("save requires a sealed graph")
+        individuals = self.individuals
+        ids = sorted(individuals)
+        roles = sorted(self._out.items())
+        with atomic_write(path) as fh:
+            fh.write(
+                "%s %d %d %d %d\n"
+                % (
+                    self.FORMAT_MAGIC,
+                    self.FORMAT_VERSION,
+                    len(self._extra_concepts),
+                    len(individuals),
+                    self._edge_count,
+                )
             )
-        )
-        for name, parent in sorted(self._extra_concepts):
-            lines.append("concept %s %s" % (name, parent))
-        for node_id in individuals:
-            ind = self.individuals[node_id]
-            parts = ["individual", node_id, ind.concept]
-            for key in sorted(ind.attrs):
-                parts.append("%s=%s" % (key, quote(ind.attrs[key], safe="")))
-            lines.append(" ".join(parts))
-        for subject, role_name, obj in edges:
-            lines.append("edge %s %s %s" % (subject, role_name, obj))
-        # write beside the target, then rename over it: a failed save leaves
-        # the previous file as it was
-        partial = "%s.%d.tmp" % (path, os.getpid())
-        try:
-            with open(partial, "w", encoding="utf-8") as fh:
-                fh.write("\n".join(lines) + "\n")
-            os.replace(partial, path)
-        except BaseException:
-            if os.path.exists(partial):
-                os.remove(partial)
-            raise
+            fh.write("".join("concept %s %s\n" % c for c in sorted(self._extra_concepts)))
+            for start in range(0, len(ids), _SAVE_CHUNK):
+                fh.write("".join([
+                    _individual_record(node_id, individuals[node_id])
+                    for node_id in ids[start:start + _SAVE_CHUNK]
+                ]))
+            for start in range(0, len(ids), _SAVE_CHUNK):
+                fh.write("".join([
+                    "edge %s %s %s\n" % (subject, name, obj)
+                    for subject in ids[start:start + _SAVE_CHUNK]
+                    for name, adjacency in roles
+                    for obj in adjacency.get(subject, ())
+                ]))
 
     @classmethod
     @collector_paused()
@@ -625,6 +630,13 @@ class KnowledgeGraph:
             )
         graph.seal()
         return graph
+
+
+def _individual_record(node_id: str, ind: Individual) -> str:
+    parts = ["individual", node_id, ind.concept]
+    for key in sorted(ind.attrs):
+        parts.append("%s=%s" % (key, quote(ind.attrs[key], safe="")))
+    return " ".join(parts) + "\n"
 
 
 def _first_undecodable_line(path: str) -> int:

@@ -19,6 +19,7 @@ from datetime import timedelta
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .atomicfile import atomic_write
 from .diagnostics import Diagnostics, record
 from .segmentation import ContainerItinerary
 from .vessels import VesselEvent, VesselEventKind, vessel_key
@@ -134,7 +135,7 @@ def bind_transshipments(
 
 
 def write_bindings(path: str, bindings: List[TransshipmentBinding]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for b in bindings:
             fh.write(
                 "%s\t%s\t%s\n" % (b.container_event_id, b.vessel_event_id, b.kind.value)

@@ -32,6 +32,7 @@ from importlib import resources
 from itertools import product
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from .atomicfile import atomic_write
 from .diagnostics import Diagnostics
 from .engine import evaluate_rows
 from .graph import KnowledgeGraph
@@ -406,7 +407,7 @@ def write_report_csv(path: str, detections: Sequence[Detection]) -> None:
     import csv
 
     ordered = sorted(detections, key=Detection.sort_key)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_COLUMNS)
         for det in ordered:

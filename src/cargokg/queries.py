@@ -21,6 +21,8 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple, Union
 
+from .atomicfile import atomic_write
+
 
 class QuerySyntaxError(ValueError):
     def __init__(self, message: str, line: int, column: int):
@@ -105,9 +107,10 @@ class ResultSet:
     rows: List[Tuple[str, ...]]
 
     def to_csv(self, target) -> None:
-        """Write header + rows; ``target`` is a path or a text file object."""
+        """Write header + rows; ``target`` is a path, replaced atomically, or
+        a text file object."""
         if isinstance(target, str):
-            with open(target, "w", newline="", encoding="utf-8") as fh:
+            with atomic_write(target, newline="") as fh:
                 self.to_csv(fh)
             return
         writer = csv.writer(target)

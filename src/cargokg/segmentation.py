@@ -29,6 +29,7 @@ from datetime import date
 from enum import Enum
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from .atomicfile import atomic_write
 from .events import (
     CsmRecord,
     DISCHARGE_LEAVES,
@@ -388,14 +389,17 @@ def itinerary_from_json(
 def write_itineraries(
     itineraries_path: str, events_path: str, itineraries: List[ContainerItinerary]
 ) -> None:
-    """Persist itineraries and their events as two JSONL files."""
-    with open(events_path, "w", encoding="utf-8") as fh:
+    """Persist itineraries and their events as two JSONL files. Both are
+    replaced atomically, after both are written: a failed write leaves
+    both previous files as they were."""
+    with (
+        atomic_write(events_path) as events_fh,
+        atomic_write(itineraries_path) as itineraries_fh,
+    ):
         for it in itineraries:
             for e in it.events:
-                fh.write(json.dumps(event_to_json(e), sort_keys=True) + "\n")
-    with open(itineraries_path, "w", encoding="utf-8") as fh:
-        for it in itineraries:
-            fh.write(json.dumps(itinerary_to_json(it), sort_keys=True) + "\n")
+                events_fh.write(json.dumps(event_to_json(e), sort_keys=True) + "\n")
+            itineraries_fh.write(json.dumps(itinerary_to_json(it), sort_keys=True) + "\n")
 
 
 def read_itineraries(

@@ -20,6 +20,7 @@ from datetime import date, timedelta
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from .atomicfile import atomic_write
 from .diagnostics import Diagnostics, record
 from .events import Location, slug
 from .segmentation import ContainerEvent
@@ -294,9 +295,11 @@ def vessel_event_to_json(e: VesselEvent) -> dict:
 def write_vessel_stage(
     events_path: str, trips_path: str, events: List[VesselEvent], trips: List[VesselTrip]
 ) -> None:
-    with open(events_path, "w", encoding="utf-8") as fh:
+    """Persist vessel events and trips as two JSONL files. Both are
+    replaced atomically, after both are written: a failed write leaves
+    both previous files as they were."""
+    with atomic_write(events_path) as events_fh, atomic_write(trips_path) as trips_fh:
         for e in events:
-            fh.write(json.dumps(vessel_event_to_json(e), sort_keys=True) + "\n")
-    with open(trips_path, "w", encoding="utf-8") as fh:
+            events_fh.write(json.dumps(vessel_event_to_json(e), sort_keys=True) + "\n")
         for t in trips:
-            fh.write(json.dumps(trip_to_json(t), sort_keys=True) + "\n")
+            trips_fh.write(json.dumps(trip_to_json(t), sort_keys=True) + "\n")

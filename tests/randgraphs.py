@@ -28,12 +28,13 @@ _EVENT_LEAVES = [
 ]
 
 
-def build_random_graph(rng, max_individuals=200, plant_patterns=True):
+def build_random_graph(rng, max_individuals=200, plant_patterns=True, seal=True):
     """A small typed graph with itineraries, vessel chains and bindings.
 
     With ``plant_patterns`` a deliberate loop-shaped and an unnecessary-
     transshipment-shaped wiring are embedded so the anomaly queries have
-    non-empty answers on roughly half the corpus.
+    non-empty answers on roughly half the corpus. Without ``seal`` the graph
+    is returned unsealed, for a caller to extend.
     """
     g = KnowledgeGraph()
     n_ports = rng.randrange(3, 7)
@@ -155,7 +156,8 @@ def build_random_graph(rng, max_individuals=200, plant_patterns=True):
         g.add_edge(tload, "hasLoadingVesselEvent", "ve_planted_00000")
         g.add_edge(tdis, "hasDischargingVesselEvent", "ve_planted_00002")
 
-    g.seal()
+    if seal:
+        g.seal()
     return g
 
 

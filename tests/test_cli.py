@@ -188,6 +188,30 @@ def test_error_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_a_directory_given_as_a_file_is_an_error_not_a_traceback(tmp_path, capsys):
+    csm, it, ev, kb = (str(tmp_path / n) for n in ("t3.csv", "it.jsonl", "ev.jsonl", "g.kb"))
+    write_csm_csv(csm, table3_records())
+    assert _run(capsys, "ingest", "--input", csm, "--out-itineraries", it, "--out-events", ev)[0] == 0
+    assert _run(capsys, "build-kb", "--itineraries", it, "--events", ev, "--out", kb)[0] == 0
+    qfile = tmp_path / "q.pq"
+    qfile.write_text("SELECT ?x WHERE { ?x a st:Port . }")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    before = sorted(os.listdir(tmp_path))
+    for argv in (
+        ["build-kb", "--itineraries", it, "--events", ev, "--out", str(folder)],
+        ["ingest", "--input", csm, "--out-itineraries", str(folder),
+         "--out-events", str(tmp_path / "ev2.jsonl")],
+        ["detect", "loop", "--kb", str(folder)],
+        ["query", str(qfile), "--kb", str(folder)],
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == 1, argv
+        assert "error:" in err and "Traceback" not in err, argv
+        assert sorted(os.listdir(tmp_path)) == before, argv
+        assert os.listdir(folder) == [], argv
+
+
 def test_build_kb_reports_bad_stage_files(tmp_path, capsys):
     csm = tmp_path / "t3.csv"
     write_csm_csv(str(csm), table3_records())

@@ -2,7 +2,9 @@ import functools
 import os
 import random
 import tempfile
+import tracemalloc
 from datetime import date
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +29,13 @@ from cargokg.linking import (
 from cargokg.segmentation import events_from_records, segment_container_sequence
 from cargokg.vessels import VesselTrip, reconstruct_all
 from cargokg.engine import UnresolvedNameError, evaluate
+from cargokg.pipeline import run_pipeline
 from cargokg.queries import parse_query
+from cargokg.synthgen import GenConfig, generate
 
 from helpers import _scenario_graph, _vessel_chain, loop_scenario, table3_records
 from oracles import oracle_evaluate, reachable_oracle
+from randgraphs import build_random_graph
 
 
 def test_taxonomy_subsumption_examples():
@@ -458,6 +463,91 @@ def test_failed_save_keeps_previous_file(tmp_path, vocab):
         unencodable.save(str(path))
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["g.kb"]
+
+
+def test_save_refuses_an_unsealed_graph(tmp_path):
+    graph = KnowledgeGraph()
+    graph.add_individual("port_a_xx", "Port", name="A", country="XX")
+    with pytest.raises(SealedGraphError):
+        graph.save(str(tmp_path / "g.kb"))
+    assert os.listdir(tmp_path) == []
+
+
+def _all_in_memory_save_text(graph: KnowledgeGraph) -> str:
+    """The saved form as one sorted list of records: the concepts, the
+    individual records in id order, then every edge tuple sorted."""
+    lines = ["cargokg-graph 1 %d %d %d" % (
+        len(graph._extra_concepts), len(graph.individuals), graph.edge_count()
+    )]
+    lines += ["concept %s %s" % c for c in sorted(graph._extra_concepts)]
+    for node_id in sorted(graph.individuals):
+        ind = graph.individuals[node_id]
+        lines.append(" ".join(
+            ["individual", node_id, ind.concept]
+            + ["%s=%s" % (k, quote(v, safe="")) for k, v in sorted(ind.attrs.items())]
+        ))
+    edges = sorted(
+        (subject, name, obj)
+        for name, role in graph.roles.items()
+        if role.alias_of is None
+        for subject, obj in graph.role_pairs(name)
+    )
+    lines += ["edge %s %s %s" % t for t in edges]
+    return "\n".join(lines) + "\n"
+
+
+# ids such as ce_1, ce_1_2 and ce_12, some prefixes of others
+_PREFIX_IDS = st.lists(
+    st.text(alphabet="12_", min_size=1, max_size=5).map(lambda t: "ce_" + t),
+    unique=True,
+    max_size=12,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32), _PREFIX_IDS)
+def test_save_writes_the_sorted_records_and_reloads_byte_identical(seed, extra_ids):
+    graph = build_random_graph(random.Random(seed), seal=False)
+    graph.add_concept("StuffedAtDepot", "TripStart")
+    previous = None
+    for node in extra_ids:
+        # chained in list order, so each bucket holds its objects unsorted
+        graph.add_individual(node, "StuffedAtDepot", label=node)
+        graph.add_edge("ci_rnd_000", "hasContainerEvent", node)
+        graph.add_edge(node, "hasLocation", "port_p0_xx")
+        if previous is not None:
+            graph.add_edge(previous, "hasNextEvent", node)
+            graph.add_edge(node, "hasNextEvent", previous)
+        previous = node
+    graph.seal()
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.kb"), os.path.join(tmp, "b.kb")
+        graph.save(first)
+        with open(first, "rb") as fh:
+            saved = fh.read()
+        assert saved == _all_in_memory_save_text(graph).encode("utf-8")
+        KnowledgeGraph.load(first).save(second)
+        with open(second, "rb") as fh:
+            assert fh.read() == saved
+
+
+def test_save_memory_does_not_grow_with_the_file(tmp_path):
+    # the anchor-sweep dataset of the chain benchmark, at seed 42
+    records, _ = generate(
+        GenConfig(seed=42, itinerary_count=300, port_count=300, vessel_count=300,
+                  transshipment_rate=0.5, injected_loops=5, injected_unnecessary=5)
+    )
+    graph = run_pipeline(records).graph
+    path = tmp_path / "g.kb"
+    tracemalloc.start()
+    try:
+        graph.save(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    assert peak < size, "save's traced peak %d B exceeds the file's %d B" % (peak, size)
 
 
 def test_attr_escaping_roundtrip(tmp_path):
