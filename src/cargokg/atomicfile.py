@@ -29,7 +29,9 @@ def atomic_write(path: str, newline: Optional[str] = None) -> Iterator[TextIO]:
     target = os.path.realpath(path)
     partial = "%s.%d.tmp" % (target, os.getpid())
     try:
-        with open(partial, "w", encoding="utf-8", newline=newline) as fh:
+        # exclusive: two writes to one path at once (say one file named for
+        # both outputs of a stage) fail, rather than mix in one partial file
+        with open(partial, "x", encoding="utf-8", newline=newline) as fh:
             yield fh
         os.replace(partial, target)
     except BaseException:

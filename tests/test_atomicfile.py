@@ -84,6 +84,15 @@ def test_a_failed_write_keeps_the_previous_files(tmp_path, result, write, names,
     assert sorted(os.listdir(tmp_path)) == sorted(names)
 
 
+def test_one_path_named_for_both_stage_files_is_an_error(tmp_path, result):
+    path = tmp_path / "both.jsonl"
+    path.write_text("previous\n")
+    with pytest.raises(FileExistsError):
+        write_itineraries(str(path), str(path), result.itineraries)
+    assert path.read_text() == "previous\n"
+    assert os.listdir(tmp_path) == ["both.jsonl"]
+
+
 def test_a_symbolic_link_is_kept_and_its_target_replaced(tmp_path):
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
     target.write_text("old\n")
