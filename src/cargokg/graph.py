@@ -18,13 +18,17 @@ rewrites an alias atom into its base role atom plus type atoms
 (``engine.resolve_names``), and an edge or a lookup given an alias name
 raises :class:`GraphError`.
 
-A graph is built single-writer, then sealed. Seal derives the sorted
-adjacency, the instance index and the port nominals from the contents alone,
-not from the order of insertion, so a populated graph and its saved and
-loaded copy answer alike. A sealed graph takes no more individuals or edges,
-but it is not immutable: its instance-closure and branching caches fill
-lazily on first use. Transitive closure is computed on demand (chains are
-short); the engine memoises closures per query call.
+A graph is built single-writer, then sealed. An edge is stored once, in the
+forward (subject to objects) index of its role. Seal sorts the forward index
+only, and derives the instance index and the port nominals from the contents
+alone, not from the order of insertion, so a populated graph and its saved
+and loaded copy answer alike. A role's reverse (object to subjects) index is
+built from its sorted forward index the first time it is read, so roles
+nobody reads backwards never pay for one. A sealed graph takes no more
+individuals or edges, but it is not immutable: its reverse indexes and its
+instance-closure and branching caches fill lazily on first use. The
+mappings it hands out are read-only. Transitive closure is computed on
+demand (chains are short); the engine memoises closures per query call.
 
 Timestamp individuals carry the canonical literal ``"<Dow> YYYY-MM-DD"``:
 the ISO date sits at 1-indexed offset 5, length 10, which is what the
@@ -69,6 +73,8 @@ class SealedGraphError(GraphError):
 _SAVE_CHUNK = 256
 
 _NORM_RE = re.compile(r"[^a-z0-9]")
+# a character that quote(value, safe="") escapes
+_NEEDS_QUOTE = re.compile(r"[^A-Za-z0-9_.~-]")
 # a "%" that does not start a two-digit hex escape
 _BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
 
@@ -300,9 +306,9 @@ class KnowledgeGraph:
         self.individuals: Dict[str, Individual] = {}
         self.port_nominals: Dict[str, str] = {}  # port name key -> individual id
         # adjacency of the stored roles only: an alias role has no edges
-        stored = [r.name for r in _BUILTIN_ROLES if r.alias_of is None]
-        self._out: Dict[str, Dict[str, List[str]]] = {name: {} for name in stored}
-        self._in: Dict[str, Dict[str, List[str]]] = {name: {} for name in stored}
+        self._stored = {r.name: r for r in _BUILTIN_ROLES if r.alias_of is None}
+        self._out: Dict[str, Dict[str, List[str]]] = {name: {} for name in self._stored}
+        self._in: Dict[str, Dict[str, List[str]]] = {}  # filled per role by _reverse
         self._edge_count = 0
         self._extra_concepts: List[Tuple[str, str]] = []
         self._instances_exact: Dict[str, List[str]] = {}
@@ -365,8 +371,9 @@ class KnowledgeGraph:
         return role
 
     def add_edge(self, subject: str, role_name: str, obj: str) -> None:
-        self._check_unsealed()
-        role = self._stored_role(role_name)
+        if self.sealed:
+            raise SealedGraphError("graph is sealed; no mutation after seal")
+        role = self._stored.get(role_name) or self._stored_role(role_name)
         s_ind = self.individuals.get(subject)
         o_ind = self.individuals.get(obj)
         if s_ind is None or o_ind is None:
@@ -395,17 +402,17 @@ class KnowledgeGraph:
             )
         subject, obj = sys.intern(subject), sys.intern(obj)
         self._out[role.name].setdefault(subject, []).append(obj)
-        self._in[role.name].setdefault(obj, []).append(subject)
         self._edge_count += 1
 
     def seal(self) -> None:
-        """Freeze the graph: sort adjacency and build the instance index."""
+        """Freeze the graph: sort the forward index and build the instance
+        index. No reverse index is built here: each role's is built on its
+        first read."""
         if self.sealed:
             return
-        for index in (self._out, self._in):
-            for adjacency in index.values():
-                for bucket in adjacency.values():
-                    bucket.sort()
+        for adjacency in self._out.values():
+            for bucket in adjacency.values():
+                bucket.sort()
         by_concept: Dict[str, List[str]] = {}
         for node_id, ind in self.individuals.items():
             by_concept.setdefault(ind.concept, []).append(node_id)
@@ -452,11 +459,25 @@ class KnowledgeGraph:
     def adjacency(self, role_name: str, direction: str) -> Mapping[str, List[str]]:
         """Direct neighbours along a stored role, for a sealed graph:
         ``"out"`` maps each subject to its objects, ``"in"`` each object to
-        its subjects, sorted. Read-only."""
+        its subjects, sorted. The first ``"in"`` read of a role builds its
+        reverse index. The mapping returned is read-only."""
         if not self.sealed:
             raise SealedGraphError("adjacency lookups require a sealed graph")
-        index = self._out if direction == "out" else self._in
-        return index[self._stored_role(role_name).name]
+        name = self._stored_role(role_name).name
+        return self._out[name] if direction == "out" else self._reverse(name)
+
+    def _reverse(self, name: str) -> Dict[str, List[str]]:
+        """The reverse index of stored role ``name``, built on first read by
+        walking the sealed forward index in subject order, so each object's
+        subjects come out sorted."""
+        index = self._in.get(name)
+        if index is None:
+            index = self._in[name] = {}
+            forward = self._out[name]
+            for subject in sorted(forward):
+                for obj in forward[subject]:
+                    index.setdefault(obj, []).append(subject)
+        return index
 
     def objects(self, subject: str, role_name: str) -> List[str]:
         return self.adjacency(role_name, "out").get(subject, [])
@@ -515,7 +536,7 @@ class KnowledgeGraph:
         role = self._stored_role(role_name)
         if not role.transitive:
             raise GraphError("role %s is not transitive" % role.name)
-        adjacency = (self._out if direction == "out" else self._in)[role.name]
+        adjacency = self._out[role.name] if direction == "out" else self._reverse(role.name)
         seen: Set[str] = set()
         stack = list(adjacency.get(node_id, ()))
         while stack:
@@ -578,6 +599,7 @@ class KnowledgeGraph:
         holds, this returns a sealed graph or raises :class:`GraphError`; a
         malformed file raises :class:`GraphFormatError` naming the line."""
         graph = cls()
+        number = 1
         try:
             with open(path, encoding="utf-8") as fh:
                 header = fh.readline().split()
@@ -623,6 +645,11 @@ class KnowledgeGraph:
             raise GraphFormatError(
                 "line %d: not UTF-8 text" % _first_undecodable_line(path)
             ) from None
+        except GraphFormatError:
+            raise
+        except GraphError as err:
+            # a record that parses but breaks a graph rule
+            raise GraphFormatError("line %d: %s" % (number, err)) from err
         if counts != [len(graph._extra_concepts), len(graph.individuals), graph.edge_count()]:
             raise GraphFormatError(
                 "truncated graph file: header promised %d concepts / %d individuals"
@@ -635,7 +662,10 @@ class KnowledgeGraph:
 def _individual_record(node_id: str, ind: Individual) -> str:
     parts = ["individual", node_id, ind.concept]
     for key in sorted(ind.attrs):
-        parts.append("%s=%s" % (key, quote(ind.attrs[key], safe="")))
+        value = ind.attrs[key]
+        if _NEEDS_QUOTE.search(value):
+            value = quote(value, safe="")
+        parts.append("%s=%s" % (key, value))
     return " ".join(parts) + "\n"
 
 

@@ -178,6 +178,15 @@ def test_error_exit_codes(tmp_path, capsys):
     assert code == 1
     assert "line 2: bad percent-escape" in err and "Traceback" not in err
 
+    ghost = tmp_path / "ghost.kb"
+    ghost.write_text(
+        "cargokg-graph 1 0 1 1\nindividual a ContainerItinerary\nedge a hasMO ghost\n"
+    )
+    code, _, err = _run(capsys, "detect", "loop", "--kb", str(ghost))
+    assert code == 1
+    assert err.startswith("error: line 3: edge (a, hasMO, ghost) references an unknown")
+    assert "Traceback" not in err
+
     qfile = tmp_path / "broken.pq"
     qfile.write_text("SELECT ?x WHERE { ?x a st:Port .")
     code, _, err = _run(capsys, "query", str(qfile), "--kb", str(bad))

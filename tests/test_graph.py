@@ -1,6 +1,7 @@
 import functools
 import os
 import random
+import string
 import tempfile
 import tracemalloc
 from datetime import date
@@ -13,8 +14,10 @@ from cargokg.graph import (
     GraphError,
     GraphFormatError,
     GraphTypeError,
+    Individual,
     KnowledgeGraph,
     SealedGraphError,
+    _individual_record,
     builtin_taxonomy,
     itinerary_node,
     populate,
@@ -322,6 +325,35 @@ def test_load_rejects_malformed_files(tmp_path, content, message):
         KnowledgeGraph.load(str(path))
 
 
+_TWO_INDIVIDUALS = (
+    "cargokg-graph 1 0 2 1\n"
+    "individual a ContainerItinerary\n"
+    "individual p Port name=P\n"
+)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("edge a hasMO ghost", r"line 4: edge \(a, hasMO, ghost\) references an unknown"),
+        ("edge a hasFoo a", "line 4: unknown role name 'hasFoo'"),
+        ("individual a ContainerItinerary", "line 4: individual a declared twice"),
+        ("edge p hasCISourcePort p", "line 4: .*subject concept Port outside domain"),
+        ("edge a hasCISourcePort a", "line 4: .*object concept ContainerItinerary outside range"),
+        ("edge p hasVPort p", "line 4: role hasVPort is an alias of hasLocation"),
+        ("concept GateIn TripStart", "line 4: concept GateIn already declared"),
+    ],
+    ids=["unknown-individual", "unknown-role", "declared-twice", "domain", "range", "alias",
+         "concept-twice"],
+)
+def test_load_errors_of_graph_rules_name_their_line(tmp_path, record, message):
+    path = tmp_path / "g.kb"
+    path.write_text(_TWO_INDIVIDUALS + record + "\n")
+    with pytest.raises(GraphFormatError, match=message) as err:
+        KnowledgeGraph.load(str(path))
+    assert isinstance(err.value.__cause__, GraphError)
+
+
 def test_attributes_may_share_a_parameter_name(tmp_path):
     path = tmp_path / "g.kb"
     path.write_text("cargokg-graph 1 0 1 0\nindividual a Port concept=x node_id=y\n")
@@ -560,6 +592,40 @@ def test_attr_escaping_roundtrip(tmp_path):
     assert loaded.attr("port_x", "name") == "Port Kelang = special"
 
 
+_ANY_CHARACTER = st.one_of(
+    st.sampled_from(string.printable), st.characters(), st.characters(categories=["Cs"])
+)
+_UNQUOTED_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_.~-")
+# arbitrary text, lone surrogates included; text that quote leaves alone; and
+# such text with one arbitrary character inside
+_ATTR_VALUES = st.one_of(
+    st.text(_ANY_CHARACTER),
+    _UNQUOTED_TEXT,
+    st.tuples(_UNQUOTED_TEXT, _ANY_CHARACTER, _UNQUOTED_TEXT).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ATTR_VALUES)
+def test_saved_attribute_values_are_quoted_as_quote_would(value):
+    ind = Individual("Port", {"name": value, "country": "XX"})
+    try:
+        expected = "individual port_x Port country=XX name=%s\n" % quote(value, safe="")
+    except UnicodeEncodeError as err:
+        with pytest.raises(UnicodeEncodeError) as raised:
+            _individual_record("port_x", ind)
+        assert str(raised.value) == str(err)
+    else:
+        assert _individual_record("port_x", ind) == expected
+
+
+def test_each_ascii_character_is_quoted_as_quote_would():
+    for code in range(128):
+        value = "a%sb" % chr(code)
+        record = _individual_record("port_x", Individual("Port", {"name": value}))
+        assert record == "individual port_x Port name=%s\n" % quote(value, safe=""), code
+
+
 def test_domain_range_soundness_property(vocab):
     graph, _ = loop_scenario(vocab)
     for role_name in graph.roles:
@@ -610,3 +676,51 @@ def test_populate_and_load_agree_whatever_the_declaration_order(tmp_path, vocab)
                 role,
                 direction,
             )
+
+
+def test_reverse_index_is_built_only_when_read(tmp_path, vocab):
+    graph, itineraries = _table3_graph(vocab)
+    path = str(tmp_path / "g.kb")
+    graph.save(path)
+    loaded = KnowledgeGraph.load(path)
+    for g in (graph, loaded):
+        assert g._in == {}
+        g.objects(itinerary_node(itineraries[0].itinerary_id), "hasContainerEvent")
+        list(g.role_pairs("hasLocation"))
+        assert g._in == {}
+
+    assert loaded.subjects("port_shangai_cn", "hasLocation")
+    assert set(loaded._in) == {"hasLocation"}
+    assert loaded.adjacency("hasLocation", "in") is loaded.adjacency("hasLocation", "in")
+    assert set(loaded._in) == {"hasLocation"}
+
+    last = graph.objects(itinerary_node(itineraries[0].itinerary_id), "hasContainerEvent")[-1]
+    assert graph.transitive_predecessors(last, "hasNextEvent")
+    assert set(graph._in) == {"hasNextEvent"}
+
+
+def _brute_force_reverse(graph, role):
+    reverse = {}
+    for subject, obj in graph.role_pairs(role):
+        reverse.setdefault(obj, []).append(subject)
+    return {obj: sorted(subjects) for obj, subjects in reverse.items()}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(min_value=0, max_value=2**32), _PREFIX_IDS)
+def test_reverse_index_is_the_reverse_of_the_role_pairs(seed, extra_ids):
+    graph = build_random_graph(random.Random(seed), seal=False)
+    graph.add_concept("StuffedAtDepot", "TripStart")
+    for node in reversed(extra_ids):
+        # declared out of id order, so a port's subjects arrive unsorted
+        graph.add_individual(node, "StuffedAtDepot", label=node)
+        graph.add_edge(node, "hasLocation", "port_p0_xx")
+    graph.seal()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.kb")
+        graph.save(path)
+        loaded = KnowledgeGraph.load(path)
+    stored = [name for name, role in graph.roles.items() if role.alias_of is None]
+    for g in (graph, loaded):
+        for role in stored:
+            assert g.adjacency(role, "in") == _brute_force_reverse(g, role), role
