@@ -712,7 +712,7 @@ def test_reverse_index_is_the_reverse_of_the_role_pairs(seed, extra_ids):
     graph = build_random_graph(random.Random(seed), seal=False)
     graph.add_concept("StuffedAtDepot", "TripStart")
     for node in reversed(extra_ids):
-        # declared out of id order, so a port's subjects arrive unsorted
+        # declared in no id order, so a port's subjects may arrive unsorted
         graph.add_individual(node, "StuffedAtDepot", label=node)
         graph.add_edge(node, "hasLocation", "port_p0_xx")
     graph.seal()
