@@ -35,15 +35,20 @@ only the join order.
 Evaluation
 ----------
 Each call compiles its plan once into steps that map a list of rows to a
-list of rows. Compiling knows which terms of an atom are constants, which
-earlier steps bound and which the atom binds, so every atom becomes one step
-of a single access mode (check, forward, backward or enumerate) with its
-role resolved and its adjacency lookup or transitive-closure memo at hand.
+list of rows. Every atom is one relation between a left and a right end
+(``queries.atom_ends``), and one builder turns it into one step of four
+access modes: check when both ends are bound, expand forward from a bound
+left end, expand backward from a bound right end, enumerate when neither
+is. The relation gives the lookup each way: a role's adjacency or its
+transitive-closure memo; a node's ancestor concepts and a concept's
+instances; a concept's ancestors and the constant ancestor's descendants.
+Row values are matched as they are, never normalised onto a concept name.
 Each bind and date filter is a step placed right after the step that binds
 its inputs (binds, then filters, until none is ready). Within a pass a row
-is a tuple indexed by slot: the query's individual constants, the
-parameters, then each variable in the order it is bound. ``evaluate``
-projects straight from the tuples; ``evaluate_rows`` turns them into dicts.
+is a tuple indexed by slot: the query's constants (individuals and concepts
+alike, so a constant end is a bound end), the parameters, then each
+variable in the order it is bound. ``evaluate`` projects straight from the
+tuples; ``evaluate_rows`` turns them into dicts.
 
 Parameters
 ----------
@@ -74,6 +79,7 @@ from .queries import (
     Term,
     TypeAtom,
     Var,
+    atom_ends,
 )
 
 
@@ -159,14 +165,7 @@ def resolve_names(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
 
 
 def _atom_vars(atom: Atom) -> List[str]:
-    terms = (
-        (atom.subject, atom.concept)
-        if isinstance(atom, TypeAtom)
-        else (atom.child, atom.ancestor)
-        if isinstance(atom, SubclassAtom)
-        else (atom.subject, atom.object)
-    )
-    return [t.name for t in terms if isinstance(t, Var)]
+    return [t.name for t in atom_ends(atom) if isinstance(t, Var)]
 
 
 def _nominal(term, params: AbstractSet[str]) -> bool:
@@ -354,7 +353,8 @@ class _Program:
     docstring), run once per binding.
 
     ``slots`` maps each variable to its slot, in slot order; the query's
-    individual constants take the slots before the first variable. The
+    constants, individuals and concepts alike, take the slots before the
+    first variable, so a constant end is a bound end. The
     transitive-closure memos, one per role and direction, serve every pass
     (closures do not depend on the binding); the semi-join restrictor sets
     are built lazily per pass.
@@ -370,16 +370,9 @@ class _Program:
     ):
         self.graph = graph
         self.diagnostics = diagnostics
-        constants: List[str] = []
-        for atom in atoms:
-            if isinstance(atom, SubclassAtom):
-                continue
-            ends = (atom.subject,) if isinstance(atom, TypeAtom) else (atom.subject, atom.object)
-            for term in ends:
-                if isinstance(term, Const) and term.name not in constants:
-                    constants.append(term.name)
-        self._head = tuple(constants)
-        self._constants = {name: slot for slot, name in enumerate(constants)}
+        ends = (term for atom in atoms for term in atom_ends(atom))
+        self._head = tuple(dict.fromkeys(t.name for t in ends if isinstance(t, Const)))
+        self._constants = {name: slot for slot, name in enumerate(self._head)}
         self.slots: Dict[str, int] = {}
         for name in params:
             self._new_slot(name)
@@ -444,36 +437,34 @@ class _Program:
     # -- atoms ----------------------------------------------------------------
 
     def _atom_step(self, atom: Atom) -> Step:
-        if isinstance(atom, RoleAtom):
-            return self._role_step(atom)
-        if isinstance(atom, TypeAtom):
-            return self._type_step(atom)
-        return self._subclass_step(atom)
-
-    def _role_step(self, atom: RoleAtom) -> Step:
-        graph = self.graph
-        role = graph.resolve_role(atom.role)
-
-        def lookup(direction: str):
-            if role.transitive:
-                return self._closure(role, direction)
-            return graph.adjacency(role.name, direction).get
-
-        subject, obj = self._slot(atom.subject), self._slot(atom.object)
-        if subject is not None and obj is not None:
+        """The atom as one relation between its two ends, in the access mode
+        the bound slots give: check, expand forward from the left end,
+        expand backward from the right end, or enumerate."""
+        left_term, right_term = atom_ends(atom)
+        left, right = self._slot(left_term), self._slot(right_term)
+        sources, lookup = self._relation(atom)
+        if left is not None and right is not None:
+            if isinstance(atom, TypeAtom):  # on every row of a join: inline, no lookup call
+                individuals, ancestors = self.graph.individuals, self.graph.taxonomy.ancestor_map()
+                return lambda rows: [
+                    row
+                    for row in rows
+                    if (ind := individuals.get(row[left])) is not None
+                    and row[right] in ancestors[ind.concept]
+                ]
             forward = lookup("out")
-            return lambda rows: [row for row in rows if row[obj] in forward(row[subject], ())]
-        if subject is not None:
-            step = _expand(subject, lookup("out"), self._restrictor(atom.object.name))
-            self._new_slot(atom.object.name)
+            return lambda rows: [row for row in rows if row[right] in forward(row[left], ())]
+        if left is not None:
+            step = _expand(left, lookup("out"), self._restrictor(right_term.name))
+            self._new_slot(right_term.name)
             return step
-        if obj is not None:
-            step = _expand(obj, lookup("in"), self._restrictor(atom.subject.name))
-            self._new_slot(atom.subject.name)
+        if right is not None:
+            step = _expand(right, lookup("in"), self._restrictor(left_term.name))
+            self._new_slot(left_term.name)
             return step
         # both ends unbound: each source once, with everything it reaches
-        sources, forward = graph.adjacency(role.name, "out"), lookup("out")
-        same = atom.subject == atom.object
+        forward = lookup("out")
+        same = left_term == right_term
 
         def pairs() -> List[tuple]:
             found = []
@@ -485,10 +476,43 @@ class _Program:
                         found.append((source,))
             return found
 
-        self._new_slot(atom.subject.name)
+        self._new_slot(left_term.name)
         if not same:
-            self._new_slot(atom.object.name)
+            self._new_slot(right_term.name)
         return _cross(_once(pairs))
+
+    def _relation(self, atom: Atom) -> Tuple[Iterable[str], Callable[[str], Callable]]:
+        """(the left values to enumerate from, ``lookup``): ``lookup("out")``
+        maps a left value to its right values and ``lookup("in")`` a right
+        value to its left values, like ``dict.get``. Values match as they
+        are: an id that normalises onto a concept name is not that concept."""
+        graph = self.graph
+        taxonomy = graph.taxonomy
+        ancestors = taxonomy.ancestor_map()
+        if isinstance(atom, RoleAtom):
+            role = graph.resolve_role(atom.role)
+
+            def lookup(direction: str):
+                if role.transitive:
+                    return self._closure(role, direction)
+                return graph.adjacency(role.name, direction).get
+
+            return graph.adjacency(role.name, "out"), lookup
+        if isinstance(atom, SubclassAtom):
+            # the ancestor is a concept constant (see resolve_names)
+            name = atom.ancestor.name
+            below = {name: sorted(taxonomy.descendants_or_self(name))}
+            return ancestors, {"out": ancestors.get, "in": below.get}.__getitem__
+        individuals = graph.individuals
+
+        def concepts(node: str, default):
+            ind = individuals.get(node)
+            return default if ind is None else ancestors[ind.concept]
+
+        def instances(concept: str, default):
+            return graph.instances_of(concept) if concept in ancestors else default
+
+        return individuals, {"out": concepts, "in": instances}.__getitem__
 
     def _closure(self, role: Role, direction: str):
         """A ``dict.get``-shaped lookup of the nodes a transitive role reaches
@@ -530,95 +554,6 @@ class _Program:
             return found
 
         return allowed
-
-    def _type_step(self, atom: TypeAtom) -> Step:
-        graph = self.graph
-        individuals, taxonomy = graph.individuals, graph.taxonomy
-        subject = self._slot(atom.subject)
-        if isinstance(atom.concept, Const):
-            if subject is None:
-                self._new_slot(atom.subject.name)
-                members = graph.instances_of(atom.concept.name)
-                return _cross(_once(lambda: [(node,) for node in members]))
-            concepts = frozenset(taxonomy.descendants_or_self(atom.concept.name))
-
-            def check(rows: List[tuple]) -> List[tuple]:
-                out = []
-                for row in rows:
-                    ind = individuals.get(row[subject])
-                    if ind is not None and ind.concept in concepts:
-                        out.append(row)
-                return out
-
-            return check
-        concept = self._slot(atom.concept)
-        if subject is not None and concept is not None:
-
-            def holds(row: tuple) -> bool:
-                ind = individuals.get(row[subject])
-                resolved = taxonomy.resolve(row[concept])
-                return (
-                    ind is not None
-                    and resolved is not None
-                    and taxonomy.is_subclass(ind.concept, resolved)
-                )
-
-            return lambda rows: [row for row in rows if holds(row)]
-        if subject is not None:
-            self._new_slot(atom.concept.name)
-
-            def ancestors(rows: List[tuple]) -> List[tuple]:
-                out = []
-                for row in rows:
-                    ind = individuals.get(row[subject])
-                    if ind is not None:
-                        for ancestor in taxonomy.ancestors_or_self(ind.concept):
-                            out.append(row + (ancestor,))
-                return out
-
-            return ancestors
-        if concept is not None:
-            self._new_slot(atom.subject.name)
-
-            def instances(rows: List[tuple]) -> List[tuple]:
-                out = []
-                for row in rows:
-                    resolved = taxonomy.resolve(row[concept])
-                    if resolved is not None:
-                        out.extend(row + (node,) for node in graph.instances_of(resolved))
-                return out
-
-            return instances
-        same = atom.subject == atom.concept
-
-        def pairs() -> List[tuple]:
-            found = []
-            for node in sorted(individuals):
-                for ancestor in taxonomy.ancestors_or_self(individuals[node].concept):
-                    if not same:
-                        found.append((node, ancestor))
-                    elif ancestor == node:
-                        found.append((node,))
-            return found
-
-        self._new_slot(atom.subject.name)
-        if not same:
-            self._new_slot(atom.concept.name)
-        return _cross(_once(pairs))
-
-    def _subclass_step(self, atom: SubclassAtom) -> Step:
-        taxonomy = self.graph.taxonomy
-        members = taxonomy.descendants_or_self(atom.ancestor.name)
-        if isinstance(atom.child, Const):
-            holds = taxonomy.is_subclass(atom.child.name, atom.ancestor.name)
-            return (lambda rows: rows) if holds else (lambda rows: [])
-        child = self._slot(atom.child)
-        if child is not None:
-            concepts = frozenset(members)
-            return lambda rows: [row for row in rows if taxonomy.resolve(row[child]) in concepts]
-        self._new_slot(atom.child.name)
-        found = [(concept,) for concept in sorted(members)]
-        return _cross(lambda: found)
 
     # -- binds and filters ----------------------------------------------------
 

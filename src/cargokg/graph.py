@@ -175,6 +175,11 @@ class ConceptTaxonomy:
     def ancestors_or_self(self, name: str) -> List[str]:
         return self._ancestors[self.require(name)]
 
+    def ancestor_map(self) -> Mapping[str, List[str]]:
+        """Each concept's ``ancestors_or_self``, keyed by its canonical name
+        only. The mapping returned is read-only."""
+        return self._ancestors
+
     def descendants_or_self(self, name: str) -> List[str]:
         root = self.require(name)
         out, stack = [], [root]
@@ -476,7 +481,11 @@ class KnowledgeGraph:
             forward = self._out[name]
             for subject in sorted(forward):
                 for obj in forward[subject]:
-                    index.setdefault(obj, []).append(subject)
+                    bucket = index.get(obj)
+                    if bucket is None:
+                        index[obj] = [subject]
+                    else:
+                        bucket.append(subject)
         return index
 
     def objects(self, subject: str, role_name: str) -> List[str]:

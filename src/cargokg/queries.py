@@ -74,6 +74,17 @@ class RoleAtom:
 Atom = Union[TypeAtom, SubclassAtom, RoleAtom]
 
 
+def atom_ends(atom: Atom) -> Tuple[Term, Term]:
+    """The atom's two ends, left then right, read as one binary relation:
+    (individual, concept) for a type atom, (concept, ancestor concept) for
+    a subclass atom, (subject, object) for a role atom."""
+    if isinstance(atom, TypeAtom):
+        return atom.subject, atom.concept
+    if isinstance(atom, SubclassAtom):
+        return atom.child, atom.ancestor
+    return atom.subject, atom.object
+
+
 @dataclass(frozen=True)
 class SubstringBind:
     source: str
@@ -358,7 +369,7 @@ class _Parser:
     def validate(self, query: PatternQuery) -> None:
         atom_vars = set()
         for atom in query.atoms:
-            for term in _atom_terms(atom):
+            for term in atom_ends(atom):
                 if isinstance(term, Var):
                     atom_vars.add(term.name)
         available = set(atom_vars)
@@ -385,14 +396,6 @@ class _Parser:
                 raise QuerySyntaxError(
                     "projected variable ?%s appears in no atom or bind" % name, 1, 1
                 )
-
-
-def _atom_terms(atom: Atom) -> Tuple[Term, ...]:
-    if isinstance(atom, TypeAtom):
-        return (atom.subject, atom.concept)
-    if isinstance(atom, SubclassAtom):
-        return (atom.child, atom.ancestor)
-    return (atom.subject, atom.object)
 
 
 def parse_query(text: str) -> PatternQuery:

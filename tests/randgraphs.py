@@ -13,6 +13,7 @@ from cargokg.queries import (
     SubstringBind,
     TypeAtom,
     Var,
+    atom_ends,
 )
 
 _EVENT_LEAVES = [
@@ -227,13 +228,7 @@ def build_random_query(rng, graph, max_atoms=6):
 
     names = []
     for atom in atoms:
-        for term in (
-            (atom.subject, atom.concept)
-            if isinstance(atom, TypeAtom)
-            else (atom.child, atom.ancestor)
-            if isinstance(atom, SubclassAtom)
-            else (atom.subject, atom.object)
-        ):
+        for term in atom_ends(atom):
             if isinstance(term, Var) and term.name not in names:
                 names.append(term.name)
     binds = []

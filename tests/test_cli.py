@@ -9,12 +9,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cargokg.cli import main
-from cargokg.events import CSM_CSV_COLUMNS, VocabularyMap, read_csm_csv, write_csm_csv
-from cargokg.graph import KnowledgeGraph
+from cargokg.engine import UnresolvedNameError
+from cargokg.events import (
+    CSM_CSV_COLUMNS,
+    CsmParseError,
+    VocabularyError,
+    VocabularyMap,
+    read_csm_csv,
+    write_csm_csv,
+)
+from cargokg.graph import GraphError, KnowledgeGraph
 from cargokg.patterns import load_query_text
 from cargokg.pipeline import ingest, run_pipeline
-from cargokg.segmentation import event_to_json, itinerary_to_json
-from cargokg.synthgen import GenConfig, generate
+from cargokg.queries import QuerySyntaxError
+from cargokg.segmentation import StageFileError, event_to_json, itinerary_to_json
+from cargokg.synthgen import GenConfig, InfeasibleConfigError, generate
 
 from helpers import loop_scenario, table3_records, unnecessary_scenario
 
@@ -195,6 +204,24 @@ def test_error_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        CsmParseError,
+        GraphError,
+        InfeasibleConfigError,
+        QuerySyntaxError,
+        StageFileError,
+        UnresolvedNameError,
+        VocabularyError,
+    ],
+)
+def test_typed_input_errors_are_value_errors(error):
+    # main reports (OSError, ValueError) as "error: ..." and exit code 1; an
+    # input error outside them would escape as a traceback
+    assert issubclass(error, ValueError)
 
 
 def test_a_directory_given_as_a_file_is_an_error_not_a_traceback(tmp_path, capsys):

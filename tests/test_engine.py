@@ -390,6 +390,22 @@ def test_closures_of_a_role_and_its_alias_are_kept_apart():
         assert _agrees_with_oracle_in_every_order(parse_query(text), g) == []
 
 
+def test_an_id_that_normalises_onto_a_concept_is_not_that_concept():
+    # "port" is an individual id, and also the normalised form of the
+    # concept name Port: as a row value it is the individual only, whichever
+    # atom binds it first
+    g = KnowledgeGraph()
+    g.add_individual("port", "Port")
+    g.add_individual("e1", "GateIn")
+    g.add_edge("e1", "hasLocation", "port")
+    g.seal()
+    for text in (
+        "SELECT ?e ?p ?y WHERE { ?e st:hasLocation ?p . ?y a ?p . }",
+        "SELECT ?e ?p WHERE { ?e st:hasLocation ?p . ?p rdfs:subClassOf st:Location . }",
+    ):
+        assert _agrees_with_oracle_in_every_order(parse_query(text), g) == []
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -407,6 +423,12 @@ def test_closures_of_a_role_and_its_alias_are_kept_apart():
         "?w st:hasVPort ?p . }",
         # a class variable used as a role subject binds no individual
         "SELECT ?c ?p WHERE { ?e a ?c . ?c st:hasLocation ?p . }",
+        # a constant subject of a type atom, with a class variable or a concept
+        "SELECT ?c WHERE { st:port_p1_xx a ?c . }",
+        "SELECT ?e WHERE { st:port_p1_xx a st:Port . ?e st:hasLocation st:port_p1_xx . }",
+        # a constant child of a subclass atom, true and false
+        "SELECT ?v WHERE { st:Arrival rdfs:subClassOf st:VesselEvent . ?v a st:Arrival . }",
+        "SELECT ?e WHERE { st:Port rdfs:subClassOf st:Event . ?e st:hasLocation ?p . }",
     ],
 )
 def test_access_modes_agree_with_oracle_in_every_order(vocab, text):
