@@ -449,8 +449,8 @@ class _Program:
                 return lambda rows: [
                     row
                     for row in rows
-                    if (ind := individuals.get(row[left])) is not None
-                    and row[right] in ancestors[ind.concept]
+                    if (concept := individuals.get(row[left])) is not None
+                    and row[right] in ancestors[concept]
                 ]
             forward = lookup("out")
             return lambda rows: [row for row in rows if row[right] in forward(row[left], ())]
@@ -506,8 +506,8 @@ class _Program:
         individuals = graph.individuals
 
         def concepts(node: str, default):
-            ind = individuals.get(node)
-            return default if ind is None else ancestors[ind.concept]
+            concept = individuals.get(node)
+            return default if concept is None else ancestors[concept]
 
         def instances(concept: str, default):
             return graph.instances_of(concept) if concept in ancestors else default

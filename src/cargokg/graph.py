@@ -18,17 +18,28 @@ rewrites an alias atom into its base role atom plus type atoms
 (``engine.resolve_names``), and an edge or a lookup given an alias name
 raises :class:`GraphError`.
 
-A graph is built single-writer, then sealed. An edge is stored once, in the
-forward (subject to objects) index of its role. Seal sorts the forward index
-only, and derives the instance index and the port nominals from the contents
+A graph is built single-writer, then sealed. It is stored compactly, in
+plain dicts of interned strings with no object per individual:
+
+- ``individuals`` maps each id straight to its canonical concept name;
+- attributes live in one column per key, ``key -> {id -> value}``, so an
+  individual without attributes costs nothing beyond its concept entry;
+- an edge is stored once, in the forward (subject to objects) index of its
+  role. While the graph is built, a subject's first object is stored bare
+  and a list is made only when a second arrives; seal turns every bucket
+  into a sorted tuple, so the buckets a sealed graph hands out are
+  read-only by type.
+
+Seal derives the instance index and the port nominals from the contents
 alone, not from the order of insertion, so a populated graph and its saved
 and loaded copy answer alike. A role's reverse (object to subjects) index is
-built from its sorted forward index the first time it is read, so roles
-nobody reads backwards never pay for one. A sealed graph takes no more
-individuals or edges, but it is not immutable: its reverse indexes and its
-instance-closure and branching caches fill lazily on first use. The
-mappings it hands out are read-only. Transitive closure is computed on
-demand (chains are short); the engine memoises closures per query call.
+built from its sorted forward index the first time it is read, with tuple
+buckets too, so roles nobody reads backwards never pay for one. A sealed
+graph takes no more individuals or edges, but it is not immutable: its
+reverse indexes and its instance-closure and branching caches fill lazily on
+first use. The mappings it hands out are read-only. Transitive closure is
+computed on demand (chains are short); the engine memoises closures per
+query call.
 
 Timestamp individuals carry the canonical literal ``"<Dow> YYYY-MM-DD"``:
 the ISO date sits at 1-indexed offset 5, length 10, which is what the
@@ -39,9 +50,10 @@ import gc
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 from urllib.parse import quote, unquote
 
 from .atomicfile import atomic_write
@@ -77,6 +89,8 @@ _NORM_RE = re.compile(r"[^a-z0-9]")
 _NEEDS_QUOTE = re.compile(r"[^A-Za-z0-9_.~-]")
 # a "%" that does not start a two-digit hex escape
 _BAD_ESCAPE = re.compile(r"%(?![0-9A-Fa-f]{2})")
+# the attribute column of a key no individual holds
+_NO_COLUMN: Mapping[str, str] = MappingProxyType({})
 
 
 def _unescape(value: str) -> Optional[str]:
@@ -294,10 +308,15 @@ def builtin_taxonomy() -> ConceptTaxonomy:
 # The graph
 
 
-@dataclass(slots=True)
-class Individual:
-    concept: str
-    attrs: Dict[str, str] = field(default_factory=dict)
+# a bucket of an index being built: a subject's (or object's) first
+# neighbour bare, a list from the second on; seal freezes it to a tuple
+_Bucket = Union[str, List[str], Tuple[str, ...]]
+
+
+def _freeze(index: Dict[str, _Bucket]) -> None:
+    """Turn every bucket of an index being built into a sorted tuple."""
+    for key, bucket in index.items():
+        index[key] = (bucket,) if bucket.__class__ is str else tuple(sorted(bucket))
 
 
 class KnowledgeGraph:
@@ -308,12 +327,13 @@ class KnowledgeGraph:
         self.taxonomy = builtin_taxonomy()
         self.roles: Dict[str, Role] = {r.name: r for r in _BUILTIN_ROLES}
         self._roles_by_norm = {_norm(r.name): r.name for r in _BUILTIN_ROLES}
-        self.individuals: Dict[str, Individual] = {}
+        self.individuals: Dict[str, str] = {}  # id -> canonical concept name
+        self._attrs: Dict[str, Dict[str, str]] = {}  # attribute key -> {id -> value}
         self.port_nominals: Dict[str, str] = {}  # port name key -> individual id
         # adjacency of the stored roles only: an alias role has no edges
         self._stored = {r.name: r for r in _BUILTIN_ROLES if r.alias_of is None}
-        self._out: Dict[str, Dict[str, List[str]]] = {name: {} for name in self._stored}
-        self._in: Dict[str, Dict[str, List[str]]] = {}  # filled per role by _reverse
+        self._out: Dict[str, Dict[str, _Bucket]] = {name: {} for name in self._stored}
+        self._in: Dict[str, Dict[str, Tuple[str, ...]]] = {}  # filled per role by _reverse
         self._edge_count = 0
         self._extra_concepts: List[Tuple[str, str]] = []
         self._instances_exact: Dict[str, List[str]] = {}
@@ -351,7 +371,26 @@ class KnowledgeGraph:
         node_id = sys.intern(node_id)
         if node_id in self.individuals:
             raise GraphError("individual %s declared twice" % node_id)
-        self.individuals[node_id] = Individual(resolved, {k: str(v) for k, v in attrs.items()})
+        columns = self._attrs
+        if not columns.keys() >= attrs.keys():
+            self._add_columns(attrs)
+        for key, value in attrs.items():
+            columns[key][node_id] = str(value)
+        self.individuals[node_id] = resolved
+
+    def _add_columns(self, keys: Iterable[str]) -> None:
+        """Make the attribute columns of the keys that have none, after
+        checking every such key: a saved attribute is ``key=value`` between
+        spaces, so a key that is empty or holds whitespace or ``=`` would
+        not load back."""
+        new = [key for key in keys if key not in self._attrs]
+        for key in new:
+            if key.split() != [key] or "=" in key:
+                raise GraphTypeError(
+                    "attribute key %r is empty or holds whitespace or '='" % key
+                )
+        for key in new:
+            self._attrs[sys.intern(key)] = {}
 
     def resolve_role(self, name: str) -> Role:
         role = self.roles.get(name)
@@ -379,53 +418,60 @@ class KnowledgeGraph:
         if self.sealed:
             raise SealedGraphError("graph is sealed; no mutation after seal")
         role = self._stored.get(role_name) or self._stored_role(role_name)
-        s_ind = self.individuals.get(subject)
-        o_ind = self.individuals.get(obj)
-        if s_ind is None or o_ind is None:
+        s_concept = self.individuals.get(subject)
+        o_concept = self.individuals.get(obj)
+        if s_concept is None or o_concept is None:
             raise GraphTypeError(
                 "edge (%s, %s, %s) references an unknown individual"
                 % (subject, role.name, obj)
             )
         # concept combinations are few; memoise the domain/range verdicts
-        check = (s_ind.concept, role.name, o_ind.concept)
+        check = (s_concept, role.name, o_concept)
         verdict = self._edge_checks.get(check)
         if verdict is None:
             verdict = (
-                self.taxonomy.is_subclass(s_ind.concept, role.domain),
-                self.taxonomy.is_subclass(o_ind.concept, role.range),
+                self.taxonomy.is_subclass(s_concept, role.domain),
+                self.taxonomy.is_subclass(o_concept, role.range),
             )
             self._edge_checks[check] = verdict
         if not verdict[0]:
             raise GraphTypeError(
                 "edge (%s, %s, %s): subject concept %s outside domain %s"
-                % (subject, role.name, obj, s_ind.concept, role.domain)
+                % (subject, role.name, obj, s_concept, role.domain)
             )
         if not verdict[1]:
             raise GraphTypeError(
                 "edge (%s, %s, %s): object concept %s outside range %s"
-                % (subject, role.name, obj, o_ind.concept, role.range)
+                % (subject, role.name, obj, o_concept, role.range)
             )
         subject, obj = sys.intern(subject), sys.intern(obj)
-        self._out[role.name].setdefault(subject, []).append(obj)
+        adjacency = self._out[role.name]
+        bucket = adjacency.get(subject)
+        if bucket is None:
+            adjacency[subject] = obj
+        elif bucket.__class__ is str:
+            adjacency[subject] = [bucket, obj]
+        else:
+            bucket.append(obj)
         self._edge_count += 1
 
     def seal(self) -> None:
-        """Freeze the graph: sort the forward index and build the instance
-        index. No reverse index is built here: each role's is built on its
-        first read."""
+        """Freeze the graph: turn the forward index's buckets into sorted
+        tuples and build the instance index. No reverse index is built
+        here: each role's is built on its first read."""
         if self.sealed:
             return
         for adjacency in self._out.values():
-            for bucket in adjacency.values():
-                bucket.sort()
+            _freeze(adjacency)
         by_concept: Dict[str, List[str]] = {}
-        for node_id, ind in self.individuals.items():
-            by_concept.setdefault(ind.concept, []).append(node_id)
+        for node_id, concept in self.individuals.items():
+            by_concept.setdefault(concept, []).append(node_id)
         self._instances_exact = {c: sorted(ids) for c, ids in by_concept.items()}
         # in id order, whatever order the ports were declared in: of ports
         # sharing a display name, the last id wins
+        names = self._attrs.get("name", _NO_COLUMN)
         for node_id in self._instances_exact.get("Port", ()):
-            self.port_nominals[self.individuals[node_id].attrs.get("name", node_id)] = node_id
+            self.port_nominals[names.get(node_id, node_id)] = node_id
         self.sealed = True
 
     # -- read access --------------------------------------------------------
@@ -434,17 +480,26 @@ class KnowledgeGraph:
         return node_id in self.individuals
 
     def concept_of(self, node_id: str) -> str:
-        return self.individuals[node_id].concept
+        return self.individuals[node_id]
 
     def attr(self, node_id: str, key: str) -> Optional[str]:
-        return self.individuals[node_id].attrs.get(key)
+        if node_id not in self.individuals:
+            raise KeyError(node_id)
+        return self._attrs.get(key, _NO_COLUMN).get(node_id)
+
+    def attrs(self, node_id: str) -> Dict[str, str]:
+        """A node's attributes, as a fresh dict in key order."""
+        if node_id not in self.individuals:
+            raise KeyError(node_id)
+        return {
+            key: column[node_id]
+            for key, column in sorted(self._attrs.items())
+            if node_id in column
+        }
 
     def literal_form(self, node_id: str) -> str:
         """The literal a query sees for a node: its value attribute, else the id."""
-        ind = self.individuals.get(node_id)
-        if ind is not None and "value" in ind.attrs:
-            return ind.attrs["value"]
-        return node_id
+        return self._attrs.get("value", _NO_COLUMN).get(node_id, node_id)
 
     def is_subclass(self, child: str, ancestor: str) -> bool:
         return self.taxonomy.is_subclass(child, ancestor)
@@ -461,7 +516,7 @@ class KnowledgeGraph:
             self._instances_closure[concept] = cached
         return cached
 
-    def adjacency(self, role_name: str, direction: str) -> Mapping[str, List[str]]:
+    def adjacency(self, role_name: str, direction: str) -> Mapping[str, Tuple[str, ...]]:
         """Direct neighbours along a stored role, for a sealed graph:
         ``"out"`` maps each subject to its objects, ``"in"`` each object to
         its subjects, sorted. The first ``"in"`` read of a role builds its
@@ -471,28 +526,33 @@ class KnowledgeGraph:
         name = self._stored_role(role_name).name
         return self._out[name] if direction == "out" else self._reverse(name)
 
-    def _reverse(self, name: str) -> Dict[str, List[str]]:
+    def _reverse(self, name: str) -> Dict[str, Tuple[str, ...]]:
         """The reverse index of stored role ``name``, built on first read by
         walking the sealed forward index in subject order, so each object's
-        subjects come out sorted."""
+        subjects come out sorted, and frozen to tuples as seal freezes the
+        forward index."""
         index = self._in.get(name)
         if index is None:
-            index = self._in[name] = {}
+            index = {}
             forward = self._out[name]
             for subject in sorted(forward):
                 for obj in forward[subject]:
                     bucket = index.get(obj)
                     if bucket is None:
-                        index[obj] = [subject]
+                        index[obj] = subject
+                    elif bucket.__class__ is str:
+                        index[obj] = [bucket, subject]
                     else:
                         bucket.append(subject)
+            _freeze(index)
+            self._in[name] = index
         return index
 
-    def objects(self, subject: str, role_name: str) -> List[str]:
-        return self.adjacency(role_name, "out").get(subject, [])
+    def objects(self, subject: str, role_name: str) -> Tuple[str, ...]:
+        return self.adjacency(role_name, "out").get(subject, ())
 
-    def subjects(self, obj: str, role_name: str) -> List[str]:
-        return self.adjacency(role_name, "in").get(obj, [])
+    def subjects(self, obj: str, role_name: str) -> Tuple[str, ...]:
+        return self.adjacency(role_name, "in").get(obj, ())
 
     def role_pairs(self, role_name: str) -> Iterator[Tuple[str, str]]:
         """All direct (subject, object) pairs of a role, sorted."""
@@ -520,8 +580,8 @@ class KnowledgeGraph:
 
     def count_by_concept(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
-        for ind in self.individuals.values():
-            counts[ind.concept] = counts.get(ind.concept, 0) + 1
+        for concept in self.individuals.values():
+            counts[concept] = counts.get(concept, 0) + 1
         return counts
 
     # -- transitive closure -------------------------------------------------
@@ -562,7 +622,8 @@ class KnowledgeGraph:
         """Write the graph to ``path`` in the format :meth:`load` reads.
 
         The header counts come from what the graph stores. Then come the
-        extra concepts, the individuals in id order, and the edges in
+        extra concepts, the individuals in id order, each with its
+        attributes in key order, and the edges in
         (subject, role, object) order: for each individual in id order,
         its stored roles in name order, each with its sorted objects. The
         records are joined and written ``_SAVE_CHUNK`` individuals at a
@@ -575,6 +636,7 @@ class KnowledgeGraph:
             raise SealedGraphError("save requires a sealed graph")
         individuals = self.individuals
         ids = sorted(individuals)
+        columns = sorted(self._attrs.items())
         roles = sorted(self._out.items())
         with atomic_write(path) as fh:
             fh.write(
@@ -590,7 +652,7 @@ class KnowledgeGraph:
             fh.write("".join("concept %s %s\n" % c for c in sorted(self._extra_concepts)))
             for start in range(0, len(ids), _SAVE_CHUNK):
                 fh.write("".join([
-                    _individual_record(node_id, individuals[node_id])
+                    _individual_record(node_id, individuals[node_id], columns)
                     for node_id in ids[start:start + _SAVE_CHUNK]
                 ]))
             for start in range(0, len(ids), _SAVE_CHUNK):
@@ -640,6 +702,10 @@ class KnowledgeGraph:
                                     "line %d: %s in attribute %r"
                                     % (number, "bad percent-escape" if sep else "no '='", chunk)
                                 )
+                            if key in attrs:
+                                raise GraphFormatError(
+                                    "line %d: attribute %r repeated" % (number, key)
+                                )
                             attrs[key] = text
                         graph.add_individual(parts[1], parts[2], **attrs)
                     elif kind == "concept" and len(parts) == 3:
@@ -668,10 +734,16 @@ class KnowledgeGraph:
         return graph
 
 
-def _individual_record(node_id: str, ind: Individual) -> str:
-    parts = ["individual", node_id, ind.concept]
-    for key in sorted(ind.attrs):
-        value = ind.attrs[key]
+def _individual_record(
+    node_id: str, concept: str, columns: Iterable[Tuple[str, Mapping[str, str]]]
+) -> str:
+    """The saved record of one individual; ``columns`` are the graph's
+    attribute columns, ``(key, {id -> value})``, in key order."""
+    parts = ["individual", node_id, concept]
+    for key, column in columns:
+        value = column.get(node_id)
+        if value is None:
+            continue
         if _NEEDS_QUOTE.search(value):
             value = quote(value, safe="")
         parts.append("%s=%s" % (key, value))

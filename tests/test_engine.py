@@ -227,8 +227,7 @@ def test_monotonicity_adding_edges(vocab):
     fresh = KnowledgeGraph()
     # copy individuals and edges, then add one more edge pre-seal
     for node in sorted(bigger.individuals):
-        ind = bigger.individuals[node]
-        fresh.add_individual(node, ind.concept, **ind.attrs)
+        fresh.add_individual(node, bigger.concept_of(node), **bigger.attrs(node))
     for role_name in sorted(fresh.roles):
         if fresh.roles[role_name].alias_of is not None:
             continue

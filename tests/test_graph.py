@@ -14,7 +14,6 @@ from cargokg.graph import (
     GraphError,
     GraphFormatError,
     GraphTypeError,
-    Individual,
     KnowledgeGraph,
     SealedGraphError,
     _individual_record,
@@ -100,12 +99,12 @@ def test_populate_table3_counts(vocab):
         if s in events and o in events
     ]
     assert len(chain_edges) == 7
-    assert graph.objects(ci, "hasCISourcePort") == ["port_shangai_cn"]
-    assert graph.objects(ci, "hasCIDestinationPort") == ["port_antwerpen_be"]
-    assert graph.objects(ci, "hasEndTime") == ["ts_2010-07-16"]
+    assert graph.objects(ci, "hasCISourcePort") == ("port_shangai_cn",)
+    assert graph.objects(ci, "hasCIDestinationPort") == ("port_antwerpen_be",)
+    assert graph.objects(ci, "hasEndTime") == ("ts_2010-07-16",)
     assert graph.attr("ts_2010-07-16", "value") == "Fri 2010-07-16"
     assert graph.attr("cont_abcd1234567", "label") == "ABCD1234567"
-    assert graph.objects("cont_abcd1234567", "belongsTo") == ["car_abc"]
+    assert graph.objects("cont_abcd1234567", "belongsTo") == ("car_abc",)
 
 
 def test_populate_empty_inputs():
@@ -315,8 +314,13 @@ def test_load_rejects_bad_version(tmp_path):
         ),
         (b"cargokg-graph 1 0 1 0\nindividual a Port name\n", "line 2: no '=' in attribute 'name'"),
         (b"cargokg-graph 1 1 0 0\n", "truncated graph file: header promised 1 concepts"),
+        (
+            b"cargokg-graph 1 0 1 0\nindividual port_a Port name=A name=B country=XX\n",
+            "line 2: attribute 'name' repeated",
+        ),
     ],
-    ids=["version-not-int", "count-not-int", "not-utf8", "no-equals", "concept-count"],
+    ids=["version-not-int", "count-not-int", "not-utf8", "no-equals", "concept-count",
+         "repeated-key"],
 )
 def test_load_rejects_malformed_files(tmp_path, content, message):
     path = tmp_path / "g.kb"
@@ -357,7 +361,7 @@ def test_load_errors_of_graph_rules_name_their_line(tmp_path, record, message):
 def test_attributes_may_share_a_parameter_name(tmp_path):
     path = tmp_path / "g.kb"
     path.write_text("cargokg-graph 1 0 1 0\nindividual a Port concept=x node_id=y\n")
-    assert KnowledgeGraph.load(str(path)).individuals["a"].attrs == {
+    assert KnowledgeGraph.load(str(path)).attrs("a") == {
         "concept": "x",
         "node_id": "y",
     }
@@ -475,6 +479,17 @@ def test_individual_ids_that_would_not_load_back_are_rejected(node_id):
     assert not graph.individuals
 
 
+@pytest.mark.parametrize("key", ["", "a=b", "a b", "x\ry", "tab\there", "nl\n"])
+def test_attribute_keys_that_would_not_load_back_are_rejected(key):
+    graph = KnowledgeGraph()
+    with pytest.raises(GraphTypeError, match="attribute key"):
+        graph.add_individual("port_a", "Port", name="A", **{key: "c"})
+    assert not graph.individuals
+    # nothing of the refused individual was kept
+    graph.add_individual("port_a", "Port", country="XX")
+    assert graph.attrs("port_a") == {"country": "XX"}
+
+
 @pytest.mark.parametrize("name", ["", "Gate Inn", "x\ry", "tab\there", "nl\n"])
 def test_concept_names_that_would_not_load_back_are_rejected(name):
     graph = KnowledgeGraph()
@@ -513,10 +528,9 @@ def _all_in_memory_save_text(graph: KnowledgeGraph) -> str:
     )]
     lines += ["concept %s %s" % c for c in sorted(graph._extra_concepts)]
     for node_id in sorted(graph.individuals):
-        ind = graph.individuals[node_id]
         lines.append(" ".join(
-            ["individual", node_id, ind.concept]
-            + ["%s=%s" % (k, quote(v, safe="")) for k, v in sorted(ind.attrs.items())]
+            ["individual", node_id, graph.concept_of(node_id)]
+            + ["%s=%s" % (k, quote(v, safe="")) for k, v in sorted(graph.attrs(node_id).items())]
         ))
     edges = sorted(
         (subject, name, obj)
@@ -563,13 +577,17 @@ def test_save_writes_the_sorted_records_and_reloads_byte_identical(seed, extra_i
             assert fh.read() == saved
 
 
-def test_save_memory_does_not_grow_with_the_file(tmp_path):
-    # the anchor-sweep dataset of the chain benchmark, at seed 42
+def _anchor_sweep_graph() -> KnowledgeGraph:
+    """The graph of the chain benchmark's anchor-sweep dataset, at seed 42."""
     records, _ = generate(
         GenConfig(seed=42, itinerary_count=300, port_count=300, vessel_count=300,
                   transshipment_rate=0.5, injected_loops=5, injected_unnecessary=5)
     )
-    graph = run_pipeline(records).graph
+    return run_pipeline(records).graph
+
+
+def test_save_memory_does_not_grow_with_the_file(tmp_path):
+    graph = _anchor_sweep_graph()
     path = tmp_path / "g.kb"
     tracemalloc.start()
     try:
@@ -580,6 +598,21 @@ def test_save_memory_does_not_grow_with_the_file(tmp_path):
     size = path.stat().st_size
     assert size >= 1 << 20
     assert peak < size, "save's traced peak %d B exceeds the file's %d B" % (peak, size)
+
+
+def test_a_loaded_graph_takes_at_most_150_bytes_per_record(tmp_path):
+    path = str(tmp_path / "g.kb")
+    _anchor_sweep_graph().save(path)
+    # the built graph is gone, so the loaded one shares no interned id with it
+    tracemalloc.start()
+    try:
+        graph = KnowledgeGraph.load(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    records = len(graph.individuals) + graph.edge_count()
+    assert records > 10_000
+    assert held <= 150 * records, "%.1f B per individual + edge" % (held / records)
 
 
 def test_attr_escaping_roundtrip(tmp_path):
@@ -608,21 +641,21 @@ _ATTR_VALUES = st.one_of(
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_ATTR_VALUES)
 def test_saved_attribute_values_are_quoted_as_quote_would(value):
-    ind = Individual("Port", {"name": value, "country": "XX"})
+    columns = [("country", {"port_x": "XX"}), ("name", {"port_x": value})]
     try:
         expected = "individual port_x Port country=XX name=%s\n" % quote(value, safe="")
     except UnicodeEncodeError as err:
         with pytest.raises(UnicodeEncodeError) as raised:
-            _individual_record("port_x", ind)
+            _individual_record("port_x", "Port", columns)
         assert str(raised.value) == str(err)
     else:
-        assert _individual_record("port_x", ind) == expected
+        assert _individual_record("port_x", "Port", columns) == expected
 
 
 def test_each_ascii_character_is_quoted_as_quote_would():
     for code in range(128):
         value = "a%sb" % chr(code)
-        record = _individual_record("port_x", Individual("Port", {"name": value}))
+        record = _individual_record("port_x", "Port", [("name", {"port_x": value})])
         assert record == "individual port_x Port name=%s\n" % quote(value, safe=""), code
 
 
@@ -703,7 +736,7 @@ def _brute_force_reverse(graph, role):
     reverse = {}
     for subject, obj in graph.role_pairs(role):
         reverse.setdefault(obj, []).append(subject)
-    return {obj: sorted(subjects) for obj, subjects in reverse.items()}
+    return {obj: tuple(sorted(subjects)) for obj, subjects in reverse.items()}
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
