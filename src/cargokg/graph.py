@@ -19,7 +19,7 @@ rewrites an alias atom into its base role atom plus type atoms
 raises :class:`GraphError`.
 
 A graph is built single-writer, then sealed. It is stored compactly, in
-plain dicts of interned strings with no object per individual:
+plain dicts with no object per individual:
 
 - ``individuals`` maps each id straight to its canonical concept name;
 - attributes live in one column per key, ``key -> {id -> value}``, so an
