@@ -90,17 +90,21 @@ class UnresolvedNameError(GraphError):
 Row = Dict[str, str]
 
 
-def _resolve_concept(graph: KnowledgeGraph, term: Const) -> str:
+def _individual(graph: KnowledgeGraph, term: Term) -> Term:
+    """A constant individual must exist verbatim; a variable stays."""
+    if isinstance(term, Const) and term.name not in graph.individuals:
+        raise UnresolvedNameError("unknown individual %r" % term.name)
+    return term
+
+
+def _concept(graph: KnowledgeGraph, term: Term) -> Term:
+    """A constant concept becomes its canonical name; a variable stays."""
+    if isinstance(term, Var):
+        return term
     resolved = graph.taxonomy.resolve(term.name)
     if resolved is None:
         raise UnresolvedNameError("unknown concept name %r" % term.name)
-    return resolved
-
-
-def _resolve_individual(graph: KnowledgeGraph, term: Const) -> str:
-    if term.name in graph.individuals:
-        return term.name
-    raise UnresolvedNameError("unknown individual %r" % term.name)
+    return Const(resolved)
 
 
 def resolve_names(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
@@ -113,42 +117,20 @@ def resolve_names(query: PatternQuery, graph: KnowledgeGraph) -> List[Atom]:
     resolved: List[Atom] = []
     for atom in query.atoms:
         if isinstance(atom, TypeAtom):
-            subject = (
-                Const(_resolve_individual(graph, atom.subject))
-                if isinstance(atom.subject, Const)
-                else atom.subject
+            resolved.append(
+                TypeAtom(_individual(graph, atom.subject), _concept(graph, atom.concept))
             )
-            concept = (
-                Const(_resolve_concept(graph, atom.concept))
-                if isinstance(atom.concept, Const)
-                else atom.concept
-            )
-            resolved.append(TypeAtom(subject, concept))
         elif isinstance(atom, SubclassAtom):
-            child = (
-                Const(_resolve_concept(graph, atom.child))
-                if isinstance(atom.child, Const)
-                else atom.child
-            )
+            child = _concept(graph, atom.child)
             if not isinstance(atom.ancestor, Const):
                 raise UnresolvedNameError(
                     "subclass ancestor must be a concept name, not a variable"
                 )
-            resolved.append(
-                SubclassAtom(child, Const(_resolve_concept(graph, atom.ancestor)))
-            )
+            resolved.append(SubclassAtom(child, _concept(graph, atom.ancestor)))
         else:
             role = graph.resolve_role(atom.role)  # raises GraphError if unknown
-            subject = (
-                Const(_resolve_individual(graph, atom.subject))
-                if isinstance(atom.subject, Const)
-                else atom.subject
-            )
-            obj = (
-                Const(_resolve_individual(graph, atom.object))
-                if isinstance(atom.object, Const)
-                else atom.object
-            )
+            subject = _individual(graph, atom.subject)
+            obj = _individual(graph, atom.object)
             base = graph.base_role(role)
             resolved.append(RoleAtom(subject, base.name, obj))
             for end, concept, stored in (
@@ -195,7 +177,6 @@ def _estimate(
     """
     vars_ = _atom_vars(atom)
     unbound = [v for v in vars_ if v not in bound]
-    shares = any(v in bound for v in vars_)
     if isinstance(atom, RoleAtom):
         transitive = graph.resolve_role(atom.role).transitive
         factor = 8 if transitive else 1
@@ -220,22 +201,17 @@ def _estimate(
     if isinstance(atom, SubclassAtom):
         if _nominal(atom.child, params) or not unbound:
             return 0, 1
-        if shares:
-            return 2, 0.5  # filters bound class variables hard
         return 1, len(graph.taxonomy.descendants_or_self(atom.ancestor.name))
     # TypeAtom
     if not unbound:
         return 0, 1
     if _nominal(atom.subject, params):
         return 0, 4
-    subject_bound = atom.subject.name in bound
     if isinstance(atom.concept, Const):
-        if subject_bound:
-            return 2, 0.9  # subsumption check, usually shrinks
         return 1, len(graph.instances_of(atom.concept.name))
-    if subject_bound:
+    if atom.subject.name in bound:
         return 2, 5  # enumerate ancestor classes
-    if shares:
+    if atom.concept.name in bound:
         return 2, 8
     return 3, max(len(graph.individuals), 1) * 4.0
 
@@ -373,6 +349,12 @@ class _Program:
         ends = (term for atom in atoms for term in atom_ends(atom))
         self._head = tuple(dict.fromkeys(t.name for t in ends if isinstance(t, Const)))
         self._constants = {name: slot for slot, name in enumerate(self._head)}
+        # SPARQL forbids a BIND into a variable already in scope, in any order
+        scope = set(params).union(*map(_atom_vars, atoms))
+        for bind in query.binds:
+            if bind.target in scope:
+                raise ValueError("bind target ?%s is already bound" % bind.target)
+            scope.add(bind.target)
         self.slots: Dict[str, int] = {}
         for name in params:
             self._new_slot(name)
@@ -561,14 +543,8 @@ class _Program:
         source = self.slots[bind.source]
         start, end = bind.start - 1, bind.start - 1 + bind.length
         literal = self.graph.literal_form
-        target = self.slots.get(bind.target)
-        if target is None:
-            self._new_slot(bind.target)
-            return lambda rows: [row + (literal(row[source])[start:end],) for row in rows]
-        return lambda rows: [
-            row[:target] + (literal(row[source])[start:end],) + row[target + 1 :]
-            for row in rows
-        ]
+        self._new_slot(bind.target)
+        return lambda rows: [row + (literal(row[source])[start:end],) for row in rows]
 
     def _filter_step(self, flt: DateCompare) -> Step:
         lhs, rhs = self.slots[flt.lhs], self.slots[flt.rhs]

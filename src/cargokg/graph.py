@@ -339,7 +339,6 @@ class KnowledgeGraph:
         self._instances_exact: Dict[str, List[str]] = {}
         self._instances_closure: Dict[str, List[str]] = {}
         self._branching: Dict[str, Tuple[float, float]] = {}
-        self._edge_checks: Dict[Tuple[str, str, str], Tuple[bool, bool]] = {}
         self.sealed = False
 
     # -- construction -------------------------------------------------------
@@ -425,21 +424,13 @@ class KnowledgeGraph:
                 "edge (%s, %s, %s) references an unknown individual"
                 % (subject, role.name, obj)
             )
-        # concept combinations are few; memoise the domain/range verdicts
-        check = (s_concept, role.name, o_concept)
-        verdict = self._edge_checks.get(check)
-        if verdict is None:
-            verdict = (
-                self.taxonomy.is_subclass(s_concept, role.domain),
-                self.taxonomy.is_subclass(o_concept, role.range),
-            )
-            self._edge_checks[check] = verdict
-        if not verdict[0]:
+        ancestors = self.taxonomy.ancestor_map()
+        if role.domain not in ancestors[s_concept]:
             raise GraphTypeError(
                 "edge (%s, %s, %s): subject concept %s outside domain %s"
                 % (subject, role.name, obj, s_concept, role.domain)
             )
-        if not verdict[1]:
+        if role.range not in ancestors[o_concept]:
             raise GraphTypeError(
                 "edge (%s, %s, %s): object concept %s outside range %s"
                 % (subject, role.name, obj, o_concept, role.range)

@@ -180,6 +180,13 @@ def _tokenize(text: str) -> List[_Token]:
     return tokens
 
 
+def _expected(what: str, tok: _Token) -> QuerySyntaxError:
+    """The error for a token found where ``what`` should stand."""
+    return QuerySyntaxError(
+        "expected %s, found %r" % (what, tok.text or "<eof>"), tok.line, tok.column
+    )
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -201,16 +208,12 @@ class _Parser:
     def expect_word(self, word: str) -> None:
         tok = self.next()
         if tok.kind != "word" or tok.text.lower() != word.lower():
-            raise QuerySyntaxError(
-                "expected %s, found %r" % (word.upper(), tok.text), tok.line, tok.column
-            )
+            raise _expected(word.upper(), tok)
 
     def expect_op(self, op: str) -> None:
         tok = self.next()
         if tok.kind != "op" or tok.text != op:
-            raise QuerySyntaxError(
-                "expected %r, found %r" % (op, tok.text or "<eof>"), tok.line, tok.column
-            )
+            raise _expected(repr(op), tok)
 
     def accept_op(self, op: str) -> bool:
         tok = self.peek()
@@ -226,11 +229,7 @@ class _Parser:
     def parse_var(self) -> str:
         tok = self.next()
         if tok.kind != "var":
-            raise QuerySyntaxError(
-                "expected a ?variable, found %r" % (tok.text or "<eof>"),
-                tok.line,
-                tok.column,
-            )
+            raise _expected("a ?variable", tok)
         return tok.text[1:]
 
     def parse_term(self) -> Term:
@@ -246,29 +245,17 @@ class _Parser:
                     tok.column,
                 )
             return Const(local)
-        raise QuerySyntaxError(
-            "expected a variable or st: name, found %r" % (tok.text or "<eof>"),
-            tok.line,
-            tok.column,
-        )
+        raise _expected("a variable or st: name", tok)
 
     def parse_pname(self, expected: str) -> None:
         tok = self.next()
         if tok.kind != "pname" or tok.text != expected:
-            raise QuerySyntaxError(
-                "expected %s, found %r" % (expected, tok.text or "<eof>"),
-                tok.line,
-                tok.column,
-            )
+            raise _expected(expected, tok)
 
     def parse_int(self) -> int:
         tok = self.next()
         if tok.kind != "int":
-            raise QuerySyntaxError(
-                "expected an integer, found %r" % (tok.text or "<eof>"),
-                tok.line,
-                tok.column,
-            )
+            raise _expected("an integer", tok)
         return int(tok.text)
 
     def parse_query(self) -> PatternQuery:
@@ -308,9 +295,7 @@ class _Parser:
     def parse_atom(self) -> Atom:
         subject = self.parse_term()
         tok = self.next()
-        if tok.kind == "word" and tok.text == "a":
-            return TypeAtom(subject, self.parse_term())
-        if tok.kind == "pname" and tok.text == "rdf:type":
+        if (tok.kind, tok.text) in (("word", "a"), ("pname", "rdf:type")):
             return TypeAtom(subject, self.parse_term())
         if tok.kind == "pname" and tok.text == "rdfs:subClassOf":
             return SubclassAtom(subject, self.parse_term())
@@ -321,11 +306,7 @@ class _Parser:
                     "unknown predicate prefix %r" % prefix, tok.line, tok.column
                 )
             return RoleAtom(subject, local, self.parse_term())
-        raise QuerySyntaxError(
-            "expected a predicate, found %r" % (tok.text or "<eof>"),
-            tok.line,
-            tok.column,
-        )
+        raise _expected("a predicate", tok)
 
     def parse_bind(self) -> SubstringBind:
         self.expect_word("bind")
@@ -349,11 +330,7 @@ class _Parser:
         lhs = self.parse_date_operand()
         tok = self.next()
         if tok.kind != "op" or tok.text not in COMPARE_OPS:
-            raise QuerySyntaxError(
-                "expected a comparison operator, found %r" % (tok.text or "<eof>"),
-                tok.line,
-                tok.column,
-            )
+            raise _expected("a comparison operator", tok)
         op = tok.text
         rhs = self.parse_date_operand()
         self.expect_op(")")
@@ -380,9 +357,10 @@ class _Parser:
                     1,
                     1,
                 )
-            if bind.target in atom_vars:
+            if bind.target in available:
+                by = "an atom" if bind.target in atom_vars else "an earlier bind"
                 raise QuerySyntaxError(
-                    "bind target ?%s already bound by an atom" % bind.target, 1, 1
+                    "bind target ?%s already bound by %s" % (bind.target, by), 1, 1
                 )
             available.add(bind.target)
         for flt in query.filters:

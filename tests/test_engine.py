@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from datetime import date
 from itertools import permutations, product
 
@@ -11,7 +12,15 @@ from cargokg.engine import UnresolvedNameError, evaluate, evaluate_rows, plan, r
 from cargokg.graph import KnowledgeGraph, timestamp_node
 from cargokg.events import timestamp_literal
 from cargokg.patterns import DETECTORS, load_query
-from cargokg.queries import Const, RoleAtom, Var, parse_query, substitute_nominals
+from cargokg.queries import (
+    Const,
+    RoleAtom,
+    SubstringBind,
+    TypeAtom,
+    Var,
+    parse_query,
+    substitute_nominals,
+)
 
 from helpers import loop_scenario, unnecessary_scenario
 from oracles import oracle_evaluate
@@ -338,10 +347,29 @@ def test_bindings_are_checked(vocab):
 
 def _agrees_with_oracle_in_every_order(query, graph):
     expected = oracle_evaluate(query, graph)
+    assert sorted(evaluate(query, graph).rows) == expected, "planned order"
     for order in permutations(resolve_names(query, graph)):
         got = evaluate(query, graph, atom_order=list(order)).rows
         assert sorted(got) == expected, order
     return expected
+
+
+def test_a_bind_into_a_bound_variable_is_an_error(vocab):
+    # a hand-built query skips the parser's check; the engine used to
+    # overwrite the first value, or check the bound one, by atom order
+    graph, _ = loop_scenario(vocab)
+    parsed = parse_query(
+        "SELECT ?x ?y WHERE { ?x a st:Port . BIND( fn:substring(?x,1,8) AS ?y ) }"
+    )
+    twice = replace(parsed, binds=parsed.binds + [SubstringBind("x", 2, 3, "y")])
+    into_atom = replace(parsed, atoms=parsed.atoms + [TypeAtom(Var("y"), Const("Port"))])
+    already_bound = r"bind target \?y is already bound"
+    for query in (twice, into_atom):
+        for order in permutations(resolve_names(query, graph)):
+            with pytest.raises(ValueError, match=already_bound):
+                evaluate(query, graph, atom_order=list(order))
+    with pytest.raises(ValueError, match=already_bound):
+        evaluate_rows(parsed, graph, bindings=[{"y": "port_p1_xx"}])
 
 
 def _arrivals_graph():

@@ -2,6 +2,8 @@ import functools
 import os
 import random
 import string
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from datetime import date
@@ -10,6 +12,7 @@ from urllib.parse import quote
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cargokg
 from cargokg.graph import (
     GraphError,
     GraphFormatError,
@@ -600,17 +603,31 @@ def test_save_memory_does_not_grow_with_the_file(tmp_path):
     assert peak < size, "save's traced peak %d B exceeds the file's %d B" % (peak, size)
 
 
+# prints the bytes a loaded graph holds, traced, and its individuals + edges
+_MEASURE_LOAD = """
+import sys, tracemalloc
+from cargokg.graph import KnowledgeGraph
+tracemalloc.start()
+graph = KnowledgeGraph.load(sys.argv[1])
+print(tracemalloc.get_traced_memory()[0], len(graph.individuals) + graph.edge_count())
+"""
+
+
 def test_a_loaded_graph_takes_at_most_150_bytes_per_record(tmp_path):
     path = str(tmp_path / "g.kb")
     _anchor_sweep_graph().save(path)
-    # the built graph is gone, so the loaded one shares no interned id with it
-    tracemalloc.start()
-    try:
-        graph = KnowledgeGraph.load(path)
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    records = len(graph.individuals) + graph.edge_count()
+    # a fresh interpreter: the load shares no interned id with a built graph,
+    # and the interned-string table's growth is the load's own, whatever
+    # ran before in this process
+    src = os.path.dirname(os.path.dirname(cargokg.__file__))
+    measured = subprocess.run(
+        [sys.executable, "-c", _MEASURE_LOAD, path],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    held, records = map(int, measured.stdout.split())
     assert records > 10_000
     assert held <= 150 * records, "%.1f B per individual + edge" % (held / records)
 

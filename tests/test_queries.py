@@ -90,11 +90,18 @@ def test_bind_source_must_exist():
 
 
 def test_bind_target_must_be_fresh():
-    with pytest.raises(QuerySyntaxError):
-        parse_query(
-            "SELECT ?x WHERE { ?x a st:Port . ?y a st:Port . "
-            "BIND( fn:substring(?x,5,10) AS ?y ) }"
-        )
+    # an atom's variable, then an earlier bind's target
+    for clauses in (
+        "?y a st:Port . BIND( fn:substring(?x,5,10) AS ?y )",
+        "BIND( fn:substring(?x,5,10) AS ?y ) . BIND( fn:substring(?x,1,8) AS ?y )",
+    ):
+        with pytest.raises(QuerySyntaxError, match="bind target"):
+            parse_query("SELECT ?x WHERE { ?x a st:Port . %s }" % clauses)
+
+
+def test_an_unexpected_end_is_named_eof():
+    with pytest.raises(QuerySyntaxError, match="expected WHERE, found '<eof>'"):
+        parse_query("SELECT ?x")
 
 
 def test_filter_var_must_exist():
