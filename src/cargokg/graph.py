@@ -2,9 +2,10 @@
 
 The graph holds one individual per itinerary, trip, event, container, vessel,
 port, carrier and timestamp literal, with role edges mirroring the domain
-design: itineraries point at their events and source/destination ports,
-events at their locations, timestamps and vessels, and consecutive events of
-one sequence are chained with the transitive successor role ``hasNextEvent``.
+design: itineraries point at their events and source/destination ports, a
+vessel trip at its vessel and its departure and arrival events, events at
+their locations, timestamps and vessels, and consecutive events of one
+sequence are chained with the transitive successor role ``hasNextEvent``.
 
 Concept and role names follow one canonical spelling, but lookups accept the
 underscore spellings used in query files (``Container_itinerary``,
@@ -284,6 +285,8 @@ _BUILTIN_ROLES: List[Role] = [
     Role("hasLoadingVesselEvent", "ContainerEvent", "VesselEvent"),
     Role("hasDischargingVesselEvent", "ContainerEvent", "VesselEvent"),
     Role("hasEndTime", "ContainerItinerary", "Timestamp"),
+    Role("hasDepartureEvent", "VesselTrip", "Departure"),
+    Role("hasArrivalEvent", "VesselTrip", "Arrival"),
     Role("belongsTo", "Container", "Carrier"),
 ]
 
@@ -321,7 +324,7 @@ def _freeze(index: Dict[str, _Bucket]) -> None:
 
 class KnowledgeGraph:
     FORMAT_MAGIC = "cargokg-graph"
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def __init__(self):
         self.taxonomy = builtin_taxonomy()
@@ -800,7 +803,10 @@ def populate(
     Emits one individual per itinerary, trip, event, container, vessel, port,
     carrier and distinct timestamp, role edges for the design's structure,
     direct ``hasNextEvent`` chains per sequence, and the transshipment
-    bindings as hasLoadingVesselEvent / hasDischargingVesselEvent edges.
+    bindings as hasLoadingVesselEvent / hasDischargingVesselEvent edges. A
+    trip holds no attributes: it points at its vessel (``hasMO``) and at its
+    two vessel events (``hasDepartureEvent``, ``hasArrivalEvent``), whose
+    ``hasLocation`` and ``hasTimestamp`` edges give its ports and dates.
     A port, timestamp, vessel, container or carrier is declared at its first
     reference (itineraries before vessel events), so the first-seen port name
     and vessel label win, and its node id is computed once. Type-check
@@ -904,17 +910,10 @@ def populate(
             previous = ve.event_id
 
     for trip in trips:
-        graph.add_individual(
-            trip.trip_id,
-            "VesselTrip",
-            departure_event=trip.departure.event_id,
-            arrival_event=trip.arrival.event_id,
-            departure_port=str(trip.departure.port),
-            arrival_port=str(trip.arrival.port),
-            departure_time=trip.departure.time.isoformat(),
-            arrival_time=trip.arrival.time.isoformat(),
-        )
+        graph.add_individual(trip.trip_id, "VesselTrip")
         graph.add_edge(trip.trip_id, "hasMO", vessel_node(trip.vessel_id))
+        graph.add_edge(trip.trip_id, "hasDepartureEvent", trip.departure.event_id)
+        graph.add_edge(trip.trip_id, "hasArrivalEvent", trip.arrival.event_id)
 
     binding_role = {
         BindingKind.LOAD_TO_DEPARTURE: "hasLoadingVesselEvent",

@@ -19,7 +19,7 @@ line and column.
 import csv
 import re
 from dataclasses import dataclass, field, replace
-from typing import List, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .atomicfile import atomic_write
 
@@ -201,8 +201,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def error(self, message: str) -> QuerySyntaxError:
-        tok = self.peek()
+    def error(self, message: str, tok: Optional[_Token] = None) -> QuerySyntaxError:
+        """The error for ``message`` at ``tok``, by default the next token."""
+        tok = tok or self.peek()
         return QuerySyntaxError(message, tok.line, tok.column)
 
     def expect_word(self, word: str) -> None:
@@ -239,11 +240,7 @@ class _Parser:
         if tok.kind == "pname":
             prefix, _, local = tok.text.partition(":")
             if prefix != "st":
-                raise QuerySyntaxError(
-                    "unexpected prefix %r in term position" % prefix,
-                    tok.line,
-                    tok.column,
-                )
+                raise self.error("unexpected prefix %r in term position" % prefix, tok)
             return Const(local)
         raise _expected("a variable or st: name", tok)
 
@@ -264,32 +261,37 @@ class _Parser:
         if self.word_is("distinct"):
             self.next()
             distinct = True
-        projection: List[str] = []
+        projected: List[_Token] = []
         while self.peek().kind == "var":
-            projection.append(self.parse_var())
-        if not projection:
+            projected.append(self.next())
+        if not projected:
             raise self.error("projection must name at least one variable")
         self.expect_word("where")
         self.expect_op("{")
         atoms: List[Atom] = []
         binds: List[SubstringBind] = []
         filters: List[DateCompare] = []
+        # the start token of each bind and filter, where validate reports it
+        bind_starts: List[_Token] = []
+        filter_starts: List[_Token] = []
         while not self.accept_op("}"):
             tok = self.peek()
             if tok.kind == "eof":
                 raise self.error("unterminated group: missing }")
             if self.word_is("bind"):
                 binds.append(self.parse_bind())
+                bind_starts.append(tok)
             elif self.word_is("filter"):
                 filters.append(self.parse_filter())
+                filter_starts.append(tok)
             else:
                 atoms.append(self.parse_atom())
             self.accept_op(".")
         tok = self.peek()
         if tok.kind != "eof":
             raise self.error("trailing content after }")
-        query = PatternQuery(projection, distinct, atoms, binds, filters)
-        self.validate(query)
+        query = PatternQuery([t.text[1:] for t in projected], distinct, atoms, binds, filters)
+        self.validate(query, projected, bind_starts, filter_starts)
         return query
 
     def parse_atom(self) -> Atom:
@@ -302,9 +304,7 @@ class _Parser:
         if tok.kind == "pname":
             prefix, _, local = tok.text.partition(":")
             if prefix != "st":
-                raise QuerySyntaxError(
-                    "unknown predicate prefix %r" % prefix, tok.line, tok.column
-                )
+                raise self.error("unknown predicate prefix %r" % prefix, tok)
             return RoleAtom(subject, local, self.parse_term())
         raise _expected("a predicate", tok)
 
@@ -343,37 +343,37 @@ class _Parser:
         self.expect_op(")")
         return var
 
-    def validate(self, query: PatternQuery) -> None:
+    def validate(
+        self,
+        query: PatternQuery,
+        projected: List[_Token],
+        bind_starts: List[_Token],
+        filter_starts: List[_Token],
+    ) -> None:
+        """Check the variables that binds, filters and the projection read;
+        an error is reported at its clause's start token."""
         atom_vars = set()
         for atom in query.atoms:
             for term in atom_ends(atom):
                 if isinstance(term, Var):
                     atom_vars.add(term.name)
         available = set(atom_vars)
-        for bind in query.binds:
+        for bind, tok in zip(query.binds, bind_starts):
             if bind.source not in available:
-                raise QuerySyntaxError(
-                    "bind source ?%s appears in no atom or earlier bind" % bind.source,
-                    1,
-                    1,
+                raise self.error(
+                    "bind source ?%s appears in no atom or earlier bind" % bind.source, tok
                 )
             if bind.target in available:
                 by = "an atom" if bind.target in atom_vars else "an earlier bind"
-                raise QuerySyntaxError(
-                    "bind target ?%s already bound by %s" % (bind.target, by), 1, 1
-                )
+                raise self.error("bind target ?%s already bound by %s" % (bind.target, by), tok)
             available.add(bind.target)
-        for flt in query.filters:
+        for flt, tok in zip(query.filters, filter_starts):
             for name in (flt.lhs, flt.rhs):
                 if name not in available:
-                    raise QuerySyntaxError(
-                        "filter variable ?%s appears in no atom or bind" % name, 1, 1
-                    )
-        for name in query.projection:
+                    raise self.error("filter variable ?%s appears in no atom or bind" % name, tok)
+        for name, tok in zip(query.projection, projected):
             if name not in available:
-                raise QuerySyntaxError(
-                    "projected variable ?%s appears in no atom or bind" % name, 1, 1
-                )
+                raise self.error("projected variable ?%s appears in no atom or bind" % name, tok)
 
 
 def parse_query(text: str) -> PatternQuery:

@@ -4,12 +4,13 @@ import io
 import json
 import os
 import tempfile
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cargokg.cli import main
-from cargokg.engine import UnresolvedNameError
+from cargokg.engine import UnresolvedNameError, evaluate, resolve_names
 from cargokg.events import (
     CSM_CSV_COLUMNS,
     CsmParseError,
@@ -18,14 +19,18 @@ from cargokg.events import (
     read_csm_csv,
     write_csm_csv,
 )
-from cargokg.graph import GraphError, KnowledgeGraph
+from cargokg.graph import GraphError, KnowledgeGraph, vessel_node
 from cargokg.patterns import load_query_text
 from cargokg.pipeline import ingest, run_pipeline
-from cargokg.queries import QuerySyntaxError
+from cargokg.queries import QuerySyntaxError, parse_query
 from cargokg.segmentation import StageFileError, event_to_json, itinerary_to_json
 from cargokg.synthgen import GenConfig, InfeasibleConfigError, generate
 
 from helpers import loop_scenario, table3_records, unnecessary_scenario
+from oracles import oracle_evaluate
+
+# the header of a saved graph of this format version, before its three counts
+HEADER = "cargokg-graph %d" % KnowledgeGraph.FORMAT_VERSION
 
 
 def _run(capsys, *argv):
@@ -176,20 +181,20 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "version" in err
 
     truncated = tmp_path / "trunc.kb"
-    truncated.write_text("cargokg-graph 1 0 0 1\nedge ce_1 hasLocation\n")
+    truncated.write_text(HEADER + " 0 0 1\nedge ce_1 hasLocation\n")
     code, _, err = _run(capsys, "detect", "loop", "--kb", str(truncated))
     assert code == 1
     assert "line 2: malformed edge record" in err
 
     escaped = tmp_path / "escape.kb"
-    escaped.write_text("cargokg-graph 1 0 1 0\nindividual port_x Port name=Bad%zzName\n")
+    escaped.write_text(HEADER + " 0 1 0\nindividual port_x Port name=Bad%zzName\n")
     code, _, err = _run(capsys, "detect", "loop", "--kb", str(escaped))
     assert code == 1
     assert "line 2: bad percent-escape" in err and "Traceback" not in err
 
     ghost = tmp_path / "ghost.kb"
     ghost.write_text(
-        "cargokg-graph 1 0 1 1\nindividual a ContainerItinerary\nedge a hasMO ghost\n"
+        HEADER + " 0 1 1\nindividual a ContainerItinerary\nedge a hasMO ghost\n"
     )
     code, _, err = _run(capsys, "detect", "loop", "--kb", str(ghost))
     assert code == 1
@@ -381,6 +386,42 @@ def _csv_rows(records):
 def _write_rows(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
+
+
+def test_the_trip_edges_agree_with_the_trip_dump(tmp_path, capsys):
+    csm, it, ev, kb, dump = (
+        str(tmp_path / n) for n in ("csm.csv", "it.jsonl", "ev.jsonl", "g.kb", "trips.jsonl")
+    )
+    for argv in (
+        ("gen", "--seed", "5", "--itineraries", "40", "--ports", "8", "--vessels", "5",
+         "--transshipment-rate", "0.5", "--out", csm, "--truth", str(tmp_path / "truth.csv")),
+        ("ingest", "--input", csm, "--out-itineraries", it, "--out-events", ev),
+        ("build-kb", "--itineraries", it, "--events", ev, "--out", kb, "--out-trips", dump),
+    ):
+        assert _run(capsys, *argv)[0] == 0, argv
+    graph = KnowledgeGraph.load(kb)
+    with open(dump) as fh:
+        trips = [json.loads(line) for line in fh]
+    assert len(trips) > 10
+    assert graph.instances_of("VesselTrip") == sorted(t["trip_id"] for t in trips)
+    for trip in trips:
+        node = trip["trip_id"]
+        assert graph.attrs(node) == {}
+        assert graph.objects(node, "hasMO") == (vessel_node(trip["vessel_id"]),)
+        for end, role in (("departure", "hasDepartureEvent"), ("arrival", "hasArrivalEvent")):
+            assert graph.objects(node, role) == (trip[end + "_event"],)
+            (port,) = graph.objects(trip[end + "_event"], "hasLocation")
+            assert graph.attrs(port) == trip[end + "_port"], (node, end)
+            (stamp,) = graph.objects(trip[end + "_event"], "hasTimestamp")
+            assert graph.literal_form(stamp).split()[1] == trip[end + "_time"], (node, end)
+    query = parse_query(
+        "SELECT ?trip ?d ?a WHERE { ?trip st:hasDepartureEvent ?d ."
+        " ?trip st:hasArrivalEvent ?a . ?d st:hasLocation ?p }"
+    )
+    expected = oracle_evaluate(query, graph)
+    assert expected == sorted((t["trip_id"], t["departure_event"], t["arrival_event"]) for t in trips)
+    for order in permutations(resolve_names(query, graph)):
+        assert sorted(evaluate(query, graph, atom_order=list(order)).rows) == expected, order
 
 
 def test_a_country_with_a_space_builds_a_graph_that_loads(tmp_path, capsys):

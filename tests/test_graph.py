@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from datetime import date
 from urllib.parse import quote
 
@@ -32,7 +33,7 @@ from cargokg.linking import (
     bind_transshipments,
 )
 from cargokg.segmentation import events_from_records, segment_container_sequence
-from cargokg.vessels import VesselTrip, reconstruct_all
+from cargokg.vessels import VesselEventKind, VesselTrip, reconstruct_all
 from cargokg.engine import UnresolvedNameError, evaluate
 from cargokg.pipeline import run_pipeline
 from cargokg.queries import parse_query
@@ -41,6 +42,9 @@ from cargokg.synthgen import GenConfig, generate
 from helpers import _scenario_graph, _vessel_chain, loop_scenario, table3_records
 from oracles import oracle_evaluate, reachable_oracle
 from randgraphs import build_random_graph
+
+# the header of a saved graph of this format version, before its three counts
+HEADER = "cargokg-graph %d" % KnowledgeGraph.FORMAT_VERSION
 
 
 def test_taxonomy_subsumption_examples():
@@ -139,6 +143,22 @@ def test_populate_rejects_unknown_references_with_the_triple(vocab):
     ghost_trip = VesselTrip("trip_ghost", "ghost", vessel_events[0], vessel_events[-1])
     with pytest.raises(GraphTypeError, match="ves_ghost"):
         populate(itineraries, vessel_events, trips + [ghost_trip], [])
+    departure = next(e for e in vessel_events if e.kind is VesselEventKind.DEPARTURE)
+    arrival = next(e for e in vessel_events if e.kind is VesselEventKind.ARRIVAL)
+    stray = replace(departure, event_id="ve_stray")
+    for trip, message in (
+        (
+            VesselTrip("trip_stray", departure.vessel_id, stray, arrival),
+            r"\(trip_stray, hasDepartureEvent, ve_stray\) references an unknown individual",
+        ),
+        (
+            VesselTrip("trip_back", arrival.vessel_id, arrival, arrival),
+            r"\(trip_back, hasDepartureEvent, %s\): object concept Arrival outside range"
+            r" Departure" % arrival.event_id,
+        ),
+    ):
+        with pytest.raises(GraphTypeError, match=message):
+            populate(itineraries, vessel_events, trips + [trip], [])
     ghost_binding = TransshipmentBinding(
         "99999", vessel_events[0].event_id, BindingKind.LOAD_TO_DEPARTURE
     )
@@ -294,10 +314,12 @@ def test_save_load_roundtrip(tmp_path, vocab):
 
 
 def test_load_rejects_bad_version(tmp_path):
+    # version 1 stored a trip's ports, dates and event ids as attributes
     path = tmp_path / "bad.kb"
-    path.write_text("cargokg-graph 99 0 0 0\n")
-    with pytest.raises(GraphFormatError):
-        KnowledgeGraph.load(str(path))
+    for version in (99, 1):
+        path.write_text("cargokg-graph %d 0 0 0\n" % version)
+        with pytest.raises(GraphFormatError, match="format version %d unsupported" % version):
+            KnowledgeGraph.load(str(path))
     other = tmp_path / "other.kb"
     other.write_text("something-else 1 0 0 0\n")
     with pytest.raises(GraphFormatError):
@@ -308,17 +330,20 @@ def test_load_rejects_bad_version(tmp_path):
     "content, message",
     [
         (b"cargokg-graph x 0 0 0\n", "line 1: header fields must be integers"),
-        (b"cargokg-graph 1 0 two 0\n", "line 1: header fields must be integers"),
+        (HEADER.encode() + b" 0 two 0\n", "line 1: header fields must be integers"),
         (
-            b"cargokg-graph 1 0 2 0\n"
+            HEADER.encode() + b" 0 2 0\n"
             b"individual port_a_xx Port country=XX name=A\n"
             b"individual port_b_xx Port country=XX name=\xff\n",
             "line 3: not UTF-8",
         ),
-        (b"cargokg-graph 1 0 1 0\nindividual a Port name\n", "line 2: no '=' in attribute 'name'"),
-        (b"cargokg-graph 1 1 0 0\n", "truncated graph file: header promised 1 concepts"),
         (
-            b"cargokg-graph 1 0 1 0\nindividual port_a Port name=A name=B country=XX\n",
+            HEADER.encode() + b" 0 1 0\nindividual a Port name\n",
+            "line 2: no '=' in attribute 'name'",
+        ),
+        (HEADER.encode() + b" 1 0 0\n", "truncated graph file: header promised 1 concepts"),
+        (
+            HEADER.encode() + b" 0 1 0\nindividual port_a Port name=A name=B country=XX\n",
             "line 2: attribute 'name' repeated",
         ),
     ],
@@ -333,7 +358,7 @@ def test_load_rejects_malformed_files(tmp_path, content, message):
 
 
 _TWO_INDIVIDUALS = (
-    "cargokg-graph 1 0 2 1\n"
+    HEADER + " 0 2 1\n"
     "individual a ContainerItinerary\n"
     "individual p Port name=P\n"
 )
@@ -363,7 +388,7 @@ def test_load_errors_of_graph_rules_name_their_line(tmp_path, record, message):
 
 def test_attributes_may_share_a_parameter_name(tmp_path):
     path = tmp_path / "g.kb"
-    path.write_text("cargokg-graph 1 0 1 0\nindividual a Port concept=x node_id=y\n")
+    path.write_text(HEADER + " 0 1 0\nindividual a Port concept=x node_id=y\n")
     assert KnowledgeGraph.load(str(path)).attrs("a") == {
         "concept": "x",
         "node_id": "y",
@@ -457,7 +482,7 @@ def test_load_rejects_truncated_records(tmp_path, kind):
 def test_load_rejects_bad_percent_escapes(tmp_path, value):
     path = tmp_path / "g.kb"
     path.write_text(
-        "cargokg-graph 1 0 2 0\n"
+        HEADER + " 0 2 0\n"
         "individual port_a_xx Port country=XX name=A\n"
         "individual port_x Port name=%s\n" % value
     )
@@ -526,7 +551,7 @@ def test_save_refuses_an_unsealed_graph(tmp_path):
 def _all_in_memory_save_text(graph: KnowledgeGraph) -> str:
     """The saved form as one sorted list of records: the concepts, the
     individual records in id order, then every edge tuple sorted."""
-    lines = ["cargokg-graph 1 %d %d %d" % (
+    lines = [HEADER + " %d %d %d" % (
         len(graph._extra_concepts), len(graph.individuals), graph.edge_count()
     )]
     lines += ["concept %s %s" % c for c in sorted(graph._extra_concepts)]

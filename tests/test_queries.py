@@ -78,25 +78,27 @@ def test_keywords_case_insensitive():
 
 
 def test_projection_must_be_bound():
-    with pytest.raises(QuerySyntaxError):
-        parse_query("SELECT ?ghost WHERE { ?x a st:Port . }")
+    with pytest.raises(QuerySyntaxError, match=r"\?ghost .*\(line 1, column 11\)"):
+        parse_query("SELECT ?x ?ghost WHERE { ?x a st:Port . }")
 
 
 def test_bind_source_must_exist():
-    with pytest.raises(QuerySyntaxError):
+    with pytest.raises(QuerySyntaxError, match=r"\?nope .*\(line 1, column 34\)"):
         parse_query(
             "SELECT ?x WHERE { ?x a st:Port . BIND( fn:substring(?nope,5,10) AS ?y ) }"
         )
 
 
 def test_bind_target_must_be_fresh():
-    # an atom's variable, then an earlier bind's target
-    for clauses in (
-        "?y a st:Port . BIND( fn:substring(?x,5,10) AS ?y )",
-        "BIND( fn:substring(?x,5,10) AS ?y ) . BIND( fn:substring(?x,1,8) AS ?y )",
+    # an atom's variable, then an earlier bind's target; the error stands
+    # at the BIND that breaks the rule
+    for clauses, column in (
+        ("?y a st:Port . BIND( fn:substring(?x,5,10) AS ?y )", 49),
+        ("BIND( fn:substring(?x,5,10) AS ?y ) . BIND( fn:substring(?x,1,8) AS ?y )", 72),
     ):
-        with pytest.raises(QuerySyntaxError, match="bind target"):
+        with pytest.raises(QuerySyntaxError, match="bind target") as err:
             parse_query("SELECT ?x WHERE { ?x a st:Port . %s }" % clauses)
+        assert (err.value.line, err.value.column) == (1, column), clauses
 
 
 def test_an_unexpected_end_is_named_eof():
@@ -105,11 +107,13 @@ def test_an_unexpected_end_is_named_eof():
 
 
 def test_filter_var_must_exist():
-    with pytest.raises(QuerySyntaxError):
+    with pytest.raises(QuerySyntaxError, match=r"\?w ") as err:
         parse_query(
-            "SELECT ?x WHERE { ?x a st:Port . "
-            "FILTER ( xsd:date(?x) > xsd:date(?nope) ) }"
+            "SELECT ?x WHERE {\n"
+            "  ?x a st:Port .\n"
+            "  FILTER ( xsd:date(?x) > xsd:date(?w) ) }"
         )
+    assert (err.value.line, err.value.column) == (3, 3)
 
 
 def test_bad_prefix_rejected():
