@@ -1,10 +1,11 @@
 """Atomic replacement of the files the pipeline stages write.
 
-Every output of ``ingest``, ``build-kb``, ``query`` and ``detect`` goes
-through :func:`atomic_write`: the text is written to a partial file beside
-the target and renamed over it only once the whole body has run, so a write
-that fails partway (an unencodable field, a full disk, an interrupt) leaves
-the previous file as it was and no partial file behind.
+Every output file of ``gen``, ``ingest``, ``build-kb``, ``query``,
+``detect`` and ``bench`` goes through :func:`atomic_write`: the text is
+written to a partial file beside the target and renamed over it only once
+the whole body has run, so a write that fails partway (an unencodable
+field, a full disk, an interrupt) leaves the previous file as it was and no
+partial file behind.
 """
 
 import os

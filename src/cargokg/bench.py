@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .atomicfile import atomic_write
 from .patterns import DEFAULT_DATE_THRESHOLD_DAYS, DetectTimeout, PatternKind, Verdict, detect
 from .pipeline import run_pipeline
 from .synthgen import GenConfig, generate
@@ -171,7 +172,7 @@ CSV_COLUMNS = [
 
 
 def write_results_csv(path: str, results: Sequence[BenchResult]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in results:

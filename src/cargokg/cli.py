@@ -22,6 +22,7 @@ from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from . import __version__
+from .atomicfile import atomic_write
 from .bench import run_suite, results_table, write_results_csv
 from .diagnostics import Diagnostics
 from .engine import evaluate
@@ -39,7 +40,7 @@ from .patterns import (
     write_report_csv,
 )
 from .pipeline import build, ingest
-from .queries import parse_query, substitute_nominals
+from .queries import Const, atom_ends, parse_query, substitute_nominals
 from .segmentation import read_itineraries, write_itineraries
 from .synthgen import GenConfig, generate
 from .vessels import DEFAULT_CLUSTER_WINDOW_DAYS, write_vessel_stage
@@ -147,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="NAME=NODE",
-        help="substitute a nominal placeholder, e.g. port=port_shangai_cn "
-        "(port display names are accepted too)",
+        help="fix the st:NAME placeholder to an individual, e.g. "
+        "port=port_shangai_cn (port display names are accepted too)",
     )
 
     det = sub.add_parser("detect", help="run a built-in anomaly pattern")
@@ -269,13 +270,21 @@ def _resolve_binding(graph: KnowledgeGraph, value: str) -> str:
 def _cmd_query(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         query = parse_query(fh.read())
-    graph = KnowledgeGraph.load(args.kb)
-    mapping = {}
+    placeholders = {t.name for a in query.atoms for t in atom_ends(a) if isinstance(t, Const)}
+    values = {}
     for item in args.bind:
         name, sep, value = item.partition("=")
         if not sep:
             raise ValueError("--bind expects NAME=NODE, got %r" % item)
-        mapping[name] = _resolve_binding(graph, value)
+        if not name:
+            raise ValueError("--bind %r has an empty NAME" % item)
+        if name in values:
+            raise ValueError("--bind %s is given more than once" % name)
+        if name not in placeholders:
+            raise ValueError("--bind %s: the query has no st:%s term" % (name, name))
+        values[name] = value
+    graph = KnowledgeGraph.load(args.kb)
+    mapping = {name: _resolve_binding(graph, value) for name, value in values.items()}
     if mapping:
         query = substitute_nominals(query, mapping)
     diagnostics = Diagnostics()
@@ -319,7 +328,7 @@ def _cmd_bench(args) -> int:
     if args.out_dir:
         os.makedirs(args.out_dir, exist_ok=True)
         write_results_csv(os.path.join(args.out_dir, "bench_results.csv"), results)
-        with open(os.path.join(args.out_dir, "bench_table.txt"), "w") as fh:
+        with atomic_write(os.path.join(args.out_dir, "bench_table.txt")) as fh:
             fh.write(table)
     return 0
 

@@ -30,7 +30,8 @@ Atoms are reordered greedily: nominal-anchored atoms first, then
 taxonomy-bounded atoms (subclass atoms, type atoms with a fixed concept),
 then role atoms sharing an already-bound variable; unconnected atoms (cross
 products) only when nothing else remains. The plan never changes the result,
-only the join order.
+only the join order, and reads only the query's shape and the graph's
+statistics: a constant and a parameter are sized alike (see ``_estimate``).
 
 Evaluation
 ----------
@@ -56,8 +57,8 @@ Parameters
 parameters) to individuals before any atom runs. The query is planned and
 compiled once, with the parameters counted as nominals, and its steps then
 run one pass per binding; a parameter behaves exactly like a nominal
-constant with its bound value in that place. This is how one template runs
-over many anchor ports.
+constant with its bound value in that place, in the plan too. This is how
+one template runs over many anchor ports.
 """
 
 import operator
@@ -90,11 +91,16 @@ class UnresolvedNameError(GraphError):
 Row = Dict[str, str]
 
 
+def _existing(graph: KnowledgeGraph, node: str) -> str:
+    """A fixed individual, a constant or a binding's value, exists verbatim."""
+    if node not in graph.individuals:
+        raise UnresolvedNameError("unknown individual %r" % node)
+    return node
+
+
 def _individual(graph: KnowledgeGraph, term: Term) -> Term:
-    """A constant individual must exist verbatim; a variable stays."""
-    if isinstance(term, Const) and term.name not in graph.individuals:
-        raise UnresolvedNameError("unknown individual %r" % term.name)
-    return term
+    """A constant individual must exist; a variable stays."""
+    return Const(_existing(graph, term.name)) if isinstance(term, Const) else term
 
 
 def _concept(graph: KnowledgeGraph, term: Term) -> Term:
@@ -167,13 +173,13 @@ def _estimate(
     Tier 0: checks and nominal-anchored lookups; tier 1: taxonomy-bounded
     enumerations; tier 2: joins along a bound variable; tier 3: would be a
     cross product. Within a tier lower multipliers win, so row-killing atoms
-    run before row-multiplying ones. A constant's lookup is sized exactly; a
-    parameter's value is not known yet, so it is sized by the role's mean
-    branching. A join into a ``restricted`` variable keeps only the members
-    of its semi-join set (see ``_nominal_restrictor_specs``), so it is sized
-    like a check, however far its role reaches; sized by branching, such a
-    transitive join tied with plain joins and the plan flipped with the
-    dataset's size.
+    run before row-multiplying ones. A lookup from a nominal end, a constant
+    or a parameter alike, is sized by the role's mean branching, so the
+    estimate reads the query's shape and the graph's statistics only. A join
+    into a ``restricted`` variable keeps only the members of its semi-join
+    set (see ``_nominal_restrictor_specs``), so it is sized like a check,
+    however far its role reaches; sized by branching, such a transitive join
+    tied with plain joins and the plan flipped with the dataset's size.
     """
     vars_ = _atom_vars(atom)
     unbound = [v for v in vars_ if v not in bound]
@@ -186,12 +192,8 @@ def _estimate(
         subject_fixed = isinstance(atom.subject, Const) or atom.subject.name in bound
         object_fixed = isinstance(atom.object, Const) or atom.object.name in bound
         if _nominal(atom.subject, params) and not object_fixed:
-            if isinstance(atom.subject, Const):
-                out_branch = len(graph.objects(atom.subject.name, atom.role))
             return 0, out_branch * factor
         if _nominal(atom.object, params) and not subject_fixed:
-            if isinstance(atom.object, Const):
-                in_branch = len(graph.subjects(atom.object.name, atom.role))
             return 0, in_branch * factor
         if subject_fixed:
             return 2, 1 if atom.object.name in restricted else out_branch * factor
@@ -222,7 +224,8 @@ def plan(
     """Greedy selectivity ordering of the query's resolved atoms.
 
     ``params`` are variables bound before the first atom (see
-    ``evaluate_rows``); they anchor the plan like nominals do. Semantics-
+    ``evaluate_rows``); they anchor the plan and are sized like constants,
+    so renaming a constant to a parameter keeps the plan. Semantics-
     preserving: any order yields the same result set; this one starts from
     nominal-anchored atoms and grows the join along shared variables.
 
@@ -627,11 +630,7 @@ def _run_pipeline(
                 "every binding must fix the same variables: %s, not %s"
                 % (sorted(fixed), sorted(binding))
             )
-        values = tuple(binding[name] for name in params)
-        for node in values:
-            if node not in graph.individuals:
-                raise UnresolvedNameError("unknown individual %r" % node)
-        rows.extend(program.run(values))
+        rows.extend(program.run(tuple(_existing(graph, binding[name]) for name in params)))
     return program, rows
 
 

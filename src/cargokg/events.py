@@ -33,6 +33,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
+from .atomicfile import atomic_write
 from .diagnostics import Diagnostics, record
 
 # ---------------------------------------------------------------------------
@@ -530,7 +531,7 @@ def read_csm_csv(
 
 
 def write_csm_csv(path: str, records: Iterable[CsmRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSM_CSV_COLUMNS)
         for rec in records:

@@ -39,6 +39,7 @@ from datetime import date, timedelta
 from random import Random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+from .atomicfile import atomic_write
 from .events import (
     CsmRecord,
     Location,
@@ -100,7 +101,7 @@ class GroundTruth:
     def write_csv(self, path: str) -> None:
         import csv
 
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["itinerary_id", "kind"])
             for itinerary_id in sorted(self.entries):

@@ -18,6 +18,8 @@ import json
 from dataclasses import dataclass
 from datetime import date, timedelta
 from enum import Enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .atomicfile import atomic_write
@@ -96,32 +98,31 @@ def aggregate_port_calls(
     Two sightings of one vessel at one port belong to the same call unless an
     event of that vessel at another port falls between them, or they are more
     than ``cluster_window_days`` apart. Output is sorted (vessel, first_seen,
-    port) and independent of input order.
+    port) and independent of input order: the calls are built in that order,
+    from each vessel's sightings sorted by (date, port, event id).
+
+    Two calls of one vessel at different ports that share a date are
+    recorded as overlapping.
     """
     window = timedelta(days=cluster_window_days)
     calls: List[VesselPortCall] = []
     per_vessel = _witnesses(events)
     for vessel_id in sorted(per_vessel):
-        sightings = sorted(
-            per_vessel[vessel_id], key=lambda s: (s[0], s[1].key, s[2])
-        )
-        current: Optional[List[Tuple[date, Location, str]]] = None
-        for s in sightings:
-            if (
-                current is not None
-                and s[1] == current[-1][1]
-                and s[0] - current[-1][0] <= window
-            ):
-                current.append(s)
-                continue
-            if current is not None:
-                calls.append(_to_call(vessel_id, current))
-            current = [s]
-        if current is not None:
-            calls.append(_to_call(vessel_id, current))
-    if diagnostics is not None:
-        _check_overlaps(calls, diagnostics)
-    calls.sort(key=lambda c: (c.vessel_id, c.first_seen, c.port.key))
+        clusters: List[List[Tuple[date, Location, str]]] = []
+        for s in sorted(per_vessel[vessel_id], key=lambda s: (s[0], s[1].key, s[2])):
+            if clusters and s[1] == clusters[-1][-1][1] and s[0] - clusters[-1][-1][0] <= window:
+                clusters[-1].append(s)
+            else:
+                clusters.append([s])
+        vessel_calls = [_to_call(vessel_id, cluster) for cluster in clusters]
+        for a, b in zip(vessel_calls, vessel_calls[1:]):
+            if b.first_seen <= a.last_seen and a.port != b.port:
+                record(
+                    diagnostics,
+                    "overlapping_calls",
+                    "vessel %s at %s and %s around %s" % (vessel_id, a.port, b.port, b.first_seen),
+                )
+        calls.extend(vessel_calls)
     return calls
 
 
@@ -133,22 +134,6 @@ def _to_call(vessel_id: str, cluster: List[Tuple[date, Location, str]]) -> Vesse
         last_seen=cluster[-1][0],
         support=len(cluster),
     )
-
-
-def _check_overlaps(calls: List[VesselPortCall], diagnostics: Diagnostics) -> None:
-    by_vessel: Dict[str, List[VesselPortCall]] = {}
-    for c in calls:
-        by_vessel.setdefault(c.vessel_id, []).append(c)
-    for vessel_id, vcalls in by_vessel.items():
-        vcalls = sorted(vcalls, key=lambda c: (c.first_seen, c.last_seen))
-        for a, b in zip(vcalls, vcalls[1:]):
-            if b.first_seen <= a.last_seen and a.port != b.port:
-                record(
-                    diagnostics,
-                    "overlapping_calls",
-                    "vessel %s at %s and %s around %s"
-                    % (vessel_id, a.port, b.port, b.first_seen),
-                )
 
 
 def derive_vessel_events(
@@ -253,13 +238,11 @@ def reconstruct_all(
 ) -> Tuple[List[VesselPortCall], List[VesselEvent], List[VesselTrip]]:
     """Full reconstruction: calls, per-vessel event chains and trips."""
     calls = aggregate_port_calls(events, cluster_window_days, diagnostics)
-    by_vessel: Dict[str, List[VesselPortCall]] = {}
-    for c in calls:
-        by_vessel.setdefault(c.vessel_id, []).append(c)
     vessel_events: List[VesselEvent] = []
     trips: List[VesselTrip] = []
-    for vessel_id in sorted(by_vessel):
-        chain = derive_vessel_events(by_vessel[vessel_id], diagnostics)
+    # the calls come sorted by vessel: one run each
+    for _, vessel_calls in groupby(calls, key=attrgetter("vessel_id")):
+        chain = derive_vessel_events(list(vessel_calls), diagnostics)
         vessel_events.extend(chain)
         trips.extend(build_vessel_trips(chain, diagnostics))
     return calls, vessel_events, trips

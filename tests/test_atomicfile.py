@@ -4,11 +4,14 @@ leaves the previous files byte-identical and no partial file behind."""
 import dataclasses
 import os
 import stat
+from unittest import mock
 
 import pytest
 
+from cargokg import cli
 from cargokg.atomicfile import atomic_write
-from cargokg.events import VocabularyMap
+from cargokg.bench import BenchResult
+from cargokg.events import VocabularyMap, write_csm_csv
 from cargokg.linking import write_bindings
 from cargokg.patterns import PatternKind, detect, write_report_csv
 from cargokg.pipeline import run_pipeline
@@ -16,15 +19,16 @@ from cargokg.queries import ResultSet
 from cargokg.segmentation import write_itineraries
 from cargokg.vessels import write_vessel_stage
 
-from cargokg.synthgen import GenConfig, generate
+from cargokg.synthgen import GenConfig, GroundTruth, generate
 
 from helpers import loop_scenario
+
+GEN = GenConfig(seed=3, itinerary_count=40, port_count=8, vessel_count=5)
 
 
 @pytest.fixture(scope="module")
 def result():
-    records, _ = generate(GenConfig(seed=3, itinerary_count=40, port_count=8, vessel_count=5))
-    return run_pipeline(records)
+    return run_pipeline(generate(GEN)[0])
 
 
 def _broken_last(items, **changes):
@@ -62,6 +66,25 @@ def _result_set(paths, result, fail):
     ResultSet(["x", "y"], rows).to_csv(paths[0])
 
 
+def _csm(paths, result, fail):
+    records = generate(GEN)[0]
+    write_csm_csv(paths[0], _broken_last(records, container_id="\udcff") if fail else records)
+
+
+def _truth(paths, result, fail):
+    GroundTruth({"it_1": "loop", "it_2": "\udcff" if fail else "unnecessary"}).write_csv(paths[0])
+
+
+def _bench(paths, result, fail):
+    # the table is written after the results CSV, from the same results
+    cell = BenchResult("5K", 5000, "loop", "filtered", 3, 0.5, 2, 1000, "ok")
+    cells = [cell, dataclasses.replace(cell, variant="unfiltered")]
+    args = cli.build_parser().parse_args(["bench", "--out-dir", os.path.dirname(paths[0])])
+    suite = _broken_last(cells, dataset_label="\udcff") if fail else cells
+    with mock.patch.object(cli, "run_suite", return_value=suite):
+        cli._cmd_bench(args)
+
+
 @pytest.mark.parametrize(
     "write, names, error",
     [
@@ -70,8 +93,12 @@ def _result_set(paths, result, fail):
         (_bindings, ("bindings.tsv",), UnicodeEncodeError),
         (_report, ("report.csv",), UnicodeEncodeError),
         (_result_set, ("rows.csv",), UnicodeEncodeError),
+        (_csm, ("csm.csv",), UnicodeEncodeError),
+        (_truth, ("truth.csv",), UnicodeEncodeError),
+        (_bench, ("bench_results.csv", "bench_table.txt"), UnicodeEncodeError),
     ],
-    ids=["itineraries", "vessel-stage", "bindings", "report", "result-set"],
+    ids=["itineraries", "vessel-stage", "bindings", "report", "result-set", "csm", "truth",
+         "bench"],
 )
 def test_a_failed_write_keeps_the_previous_files(tmp_path, result, write, names, error):
     paths = [str(tmp_path / name) for name in names]

@@ -139,6 +139,37 @@ def test_query_subcommand(tmp_path, capsys, vocab):
     assert "ci_figu0000620_001" in stdout
 
 
+@pytest.fixture
+def ut_query(tmp_path, vocab):
+    """``query`` of the unnecessary-transshipment template on its fixture."""
+    graph, _ = unnecessary_scenario(vocab)
+    kb = tmp_path / "fig6.kb"
+    graph.save(str(kb))
+    qfile = tmp_path / "ut.pq"
+    qfile.write_text(load_query_text("unnecessary_transshipment"))
+    return ["query", str(qfile), "--kb", str(kb)]
+
+
+def test_bind_of_a_name_the_query_lacks_is_an_error(ut_query, capsys):
+    # hasCIDestinationPort is an st: name of the query, but a role, not a term
+    for name in ("nosuch", "hasCIDestinationPort"):
+        code, out, err = _run(capsys, *ut_query, "--bind", name + "=port_p4_xx")
+        assert code == 1 and out == ""
+        assert "--bind %s: the query has no st:%s term" % (name, name) in err
+
+
+def test_bind_of_an_empty_name_is_an_error(ut_query, capsys):
+    code, out, err = _run(capsys, *ut_query, "--bind", "=port_p4_xx")
+    assert code == 1 and out == ""
+    assert "--bind '=port_p4_xx' has an empty NAME" in err
+
+
+def test_bind_of_a_name_twice_is_an_error(ut_query, capsys):
+    code, out, err = _run(capsys, *ut_query, "--bind", "port=port_p4_xx", "--bind", "port=P4")
+    assert code == 1 and out == ""
+    assert "--bind port is given more than once" in err
+
+
 def test_query_empty_graph_empty_csv(tmp_path, capsys):
     from cargokg.graph import KnowledgeGraph
 

@@ -303,7 +303,9 @@ def _multiset(rows):
 
 def _check_bindings_equal_substitutions(graph):
     """For every shipped template, one call with a binding per port (pair)
-    gives the union of the substituted queries' rows, port columns added."""
+    gives the union of the substituted queries' rows, port columns added;
+    and each substituted query gets the parameters' plan, its constants
+    renamed back to the parameters."""
     ports = sorted(n for n in graph.individuals if n.startswith("port_"))
     for name, anchors in dict(DETECTORS.values()).items():
         template = load_query(name)
@@ -318,6 +320,14 @@ def _check_bindings_equal_substitutions(graph):
         lifted = substitute_nominals(template, {p: Var(p) for p in params})
         got = evaluate_rows(lifted, graph, bindings=iter(bindings))
         assert _multiset(got) == _multiset(expected), name
+        lifted_plan = plan(lifted, graph, frozenset(params))
+        for binding in bindings:
+            renamed = {node: Var(p) for p, node in binding.items()}
+            if len(renamed) < len(binding):
+                continue  # one port for two parameters: its atoms may merge
+            planned = plan(substitute_nominals(template, binding), graph)
+            back = substitute_nominals(replace(template, atoms=planned), renamed)
+            assert back.atoms == lifted_plan, (name, binding)
 
 
 @settings(max_examples=40, deadline=None)

@@ -157,6 +157,25 @@ def test_overlap_truncated_with_diagnostic():
     assert arr_p3.time == date(2011, 1, 5)
 
 
+def test_two_ports_on_one_date_are_overlapping_calls():
+    diag = Diagnostics()
+    events = [
+        _sighting_event("1", "Vega", P3, 0),
+        _sighting_event("2", "Vega", P1, 2),
+        _sighting_event("3", "Vega", P3, 2),
+        _sighting_event("4", "Vega", P1, 5),
+    ]
+    calls, vessel_events, _ = reconstruct_all(events, diagnostics=diag)
+    assert [(c.port, c.first_seen.day, c.last_seen.day) for c in calls] == [
+        (P3, 1, 1), (P1, 3, 3), (P3, 3, 3), (P1, 6, 6)
+    ]
+    assert diag.records[0] == (
+        "overlapping_calls", "vessel vega at P1 (XX) and P3 (XX) around 2011-01-03"
+    )
+    assert diag.count("overlapping_calls") == 1 and diag.count("dropped_call") == 1
+    assert vessel_events == derive_vessel_events(list(reversed(calls)))
+
+
 def test_trips_pairing():
     calls = [
         VesselPortCall("vessel2", P3, date(2011, 2, 1), date(2011, 2, 2), 2),
