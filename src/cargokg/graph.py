@@ -38,7 +38,8 @@ built from its sorted forward index the first time it is read, with tuple
 buckets too, so roles nobody reads backwards never pay for one. A sealed
 graph takes no more individuals or edges, but it is not immutable: its
 reverse indexes and its instance-closure and branching caches fill lazily on
-first use. The mappings it hands out are read-only. Transitive closure is
+first use. Only a sealed graph serves these reads, so no cache holds a graph
+half built. The mappings it hands out are read-only. Transitive closure is
 computed on demand (chains are short); the engine memoises closures per
 query call.
 
@@ -499,7 +500,10 @@ class KnowledgeGraph:
         return self.taxonomy.is_subclass(child, ancestor)
 
     def instances_of(self, concept: str) -> List[str]:
-        """All individuals whose concept is subsumed by ``concept``."""
+        """All individuals whose concept is subsumed by ``concept``, for a
+        sealed graph. Cached."""
+        if not self.sealed:
+            raise SealedGraphError("instance lookups require a sealed graph")
         concept = self.taxonomy.require(concept)
         cached = self._instances_closure.get(concept)
         if cached is None:
@@ -560,8 +564,10 @@ class KnowledgeGraph:
 
     def role_branching(self, role_name: str) -> Tuple[float, float]:
         """Expected (objects per domain instance, subjects per range instance)
-        of a stored role: how much a join step along it multiplies rows.
-        Cached."""
+        of a stored role, for a sealed graph: how much a join step along it
+        multiplies rows. Cached."""
+        if not self.sealed:
+            raise SealedGraphError("role statistics require a sealed graph")
         role = self._stored_role(role_name)
         cached = self._branching.get(role.name)
         if cached is None:

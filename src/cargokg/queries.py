@@ -19,7 +19,7 @@ line and column.
 import csv
 import re
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .atomicfile import atomic_write
 
@@ -135,22 +135,27 @@ class ResultSet:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
+# One match per token: the whitespace and comments before a token are
+# skipped inside the match. After them comes a token, the end of the text
+# or any other character, so every position matches.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<pname>[A-Za-z][A-Za-z0-9_]*:[A-Za-z_][A-Za-z0-9_\-]*)
-  | (?P<int>\d+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|!=|[{}().,<>=])
+    (?:\s+|\#[^\n]*)*
+    (?:
+        (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<pname>[A-Za-z][A-Za-z0-9_]*:[A-Za-z_][A-Za-z0-9_\-]*)
+      | (?P<int>\d+)
+      | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<op><=|>=|!=|[{}().,<>=])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -158,25 +163,25 @@ class _Token:
 
 
 def _tokenize(text: str) -> List[_Token]:
+    """The tokens of ``text``, the end token last, each at the line and
+    column it starts on; a line ends at each "\\n" only."""
     tokens: List[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise QuerySyntaxError("unexpected character %r" % text[pos], line, col)
-        kind = m.lastgroup or ""
-        chunk = m.group(0)
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
+    line, line_start, pos = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        # only the skipped part can hold a line end: no token spans one
+        newlines = text.count("\n", pos, start)
         if newlines:
             line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+            line_start = text.rindex("\n", pos, start) + 1
+        column = start - line_start + 1
+        if kind == "bad":
+            raise QuerySyntaxError("unexpected character %r" % m.group(kind), line, column)
+        tokens.append(_Token(kind, m.group(kind), line, column))
+        if kind == "eof":
+            break
         pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
     return tokens
 
 

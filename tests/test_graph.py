@@ -207,6 +207,23 @@ def test_transitive_requires_sealed():
         graph.transitive_successors("ve_x_0", "hasNextEvent")
 
 
+def test_instance_and_branching_reads_require_sealed():
+    # read before seal, both used to cache the half-built graph: no
+    # instances, and a branching counted from the ids' string lengths
+    graph = KnowledgeGraph()
+    graph.add_individual("p1", "Port")
+    for node in ("ve_1", "ve_2"):
+        graph.add_individual(node, "Arrival")
+        graph.add_edge(node, "hasLocation", "p1")
+    with pytest.raises(SealedGraphError):
+        graph.instances_of("Port")
+    with pytest.raises(SealedGraphError):
+        graph.role_branching("hasLocation")
+    graph.seal()
+    assert graph.instances_of("Port") == ["p1"]
+    assert graph.role_branching("hasLocation") == (1.0, 2.0)
+
+
 def test_closure_matches_reachability_oracle():
     rng = random.Random(71)
     for _ in range(200):

@@ -8,10 +8,13 @@ from cargokg.queries import (
     SubclassAtom,
     TypeAtom,
     Var,
+    _tokenize,
     parse_query,
     substitute_nominals,
 )
-from cargokg.patterns import load_query_text
+from cargokg.patterns import DETECTORS, load_query_text
+
+from template_tokens import TEMPLATE_TOKENS
 
 
 def test_unnecessary_transshipment_template_shape():
@@ -114,6 +117,28 @@ def test_filter_var_must_exist():
             "  FILTER ( xsd:date(?x) > xsd:date(?w) ) }"
         )
     assert (err.value.line, err.value.column) == (3, 3)
+
+
+@pytest.mark.parametrize("name", sorted({template for template, _ in DETECTORS.values()}))
+def test_template_token_streams_are_pinned(name):
+    assert _tokenize(load_query_text(name)) == TEMPLATE_TOKENS[name]
+
+
+def test_crlf_tabs_and_comments_keep_token_positions():
+    # a carriage return and a tab take one column each; only "\n" ends a line
+    text = "SELECT ?x\r\n\tWHERE { # a comment\r\n\t\t?x a st:Port }\r\n"
+    assert _tokenize(text) == [
+        ("word", "SELECT", 1, 1), ("var", "?x", 1, 8), ("word", "WHERE", 2, 2),
+        ("op", "{", 2, 8), ("var", "?x", 3, 3), ("word", "a", 3, 6),
+        ("pname", "st:Port", 3, 8), ("op", "}", 3, 16), ("eof", "", 4, 1),
+    ]
+    for text, position in (
+        ("SELECT ?x\r\nWHERE {\r\n\t?x a st:Port . # note\r\n\t?x st:r ?y ! }", (4, 13)),
+        ("SELECT ?x WHERE {\r\n\t# a comment\r\n\t\t?x a st:Port .\r\n  @ }", (4, 3)),
+    ):
+        with pytest.raises(QuerySyntaxError, match="unexpected character") as err:
+            parse_query(text)
+        assert (err.value.line, err.value.column) == position, text
 
 
 def test_bad_prefix_rejected():
