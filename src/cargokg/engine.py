@@ -33,13 +33,6 @@ products) only when nothing else remains. The plan never changes the result,
 only the join order, and reads only the query's shape and the graph's
 statistics: a constant and a parameter are sized alike (see ``_estimate``).
 
-So a plan is memoised per sealed graph, as a permutation of the resolved
-atoms, keyed by the query's shape and its parameters (see ``_shape``):
-queries that differ only in their individual constants, such as one
-template at two ports, share one plan. A graph holds one entry per distinct
-shape that has been planned against it, and the entries go with the graph.
-Names are still resolved, and constants checked, on every call.
-
 Evaluation
 ----------
 Each call compiles its plan once into steps that map a list of rows to a
@@ -69,7 +62,6 @@ one template runs over many anchor ports.
 """
 
 import operator
-import weakref
 from datetime import date
 from itertools import chain
 from typing import AbstractSet, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -226,55 +218,19 @@ def _estimate(
     return 3, max(len(graph.individuals), 1) * 4.0
 
 
-def _shape(atoms: Sequence[Atom], params: AbstractSet[str]) -> tuple:
-    """The key of a plan in the memo: each atom's kind, its role or concept
-    names and its variables, an individual constant standing as the ordinal
-    of its value's first appearance, then the parameters. Queries that
-    differ only in their individuals get one plan."""
-    first: Dict[str, int] = {}
-
-    def individual(term: Term):
-        return term if isinstance(term, Var) else first.setdefault(term.name, len(first))
-
-    shape = []
-    for atom in atoms:
-        if isinstance(atom, RoleAtom):
-            shape.append((RoleAtom, individual(atom.subject), atom.role, individual(atom.object)))
-        elif isinstance(atom, TypeAtom):
-            shape.append((TypeAtom, individual(atom.subject), atom.concept))
-        else:
-            shape.append((SubclassAtom, atom.child, atom.ancestor))
-    return tuple(shape), frozenset(params)
-
-
-# per sealed graph, each shape asked so far and its plan, as atom indices;
-# an entry goes with its graph
-_PLANS: "weakref.WeakKeyDictionary[KnowledgeGraph, Dict[tuple, List[int]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def plan(
     query: PatternQuery, graph: KnowledgeGraph, params: AbstractSet[str] = frozenset()
 ) -> List[Atom]:
-    """The query's resolved atoms in the order ``plan_indices`` gives them,
-    as a fresh list.
+    """The query's resolved atoms in the order ``plan_indices`` gives them.
 
     ``params`` are variables bound before the first atom (see
-    ``evaluate_rows``). The names are resolved, and the constants checked,
-    on every call; the order is computed once per shape and sealed graph
-    (see ``_shape``), since it reads only the query's shape and the graph's
-    statistics.
+    ``evaluate_rows``). A caller that runs one query shape at many anchors
+    plans it once by binding the anchor as a parameter.
     """
     if not graph.sealed:
         raise SealedGraphError("queries are planned against sealed graphs only")
     atoms = resolve_names(query, graph)
-    plans = _PLANS.setdefault(graph, {})
-    key = _shape(atoms, params)
-    order = plans.get(key)
-    if order is None:
-        order = plans[key] = plan_indices(atoms, graph, params)
-    return [atoms[i] for i in order]
+    return [atoms[i] for i in plan_indices(atoms, graph, params)]
 
 
 def plan_indices(

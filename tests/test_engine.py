@@ -1,6 +1,4 @@
-import gc
 import random
-import weakref
 from dataclasses import replace
 from datetime import date
 from itertools import permutations, product
@@ -150,134 +148,11 @@ def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
     assert len(states) < len(atoms) * (len(atoms) + 1) // 2
 
 
-def _fresh_plan(query, graph, params=frozenset()):
-    """The order the planner computes, bypassing the memo."""
-    atoms = resolve_names(query, graph)
-    return [atoms[i] for i in engine.plan_indices(atoms, graph, params)]
-
-
-# each template anchored at one port, with the realized ports it ranges over
-_PORT_BOUND = {
-    template: anchors["port"]
-    for template, anchors in DETECTORS.values()
-    if list(anchors) == ["port"]
-}
-
-
-def _check_memoised_plans(graph):
-    """At every realized port of each single-port template, the plan is the
-    one a fresh ordering gives, and, the port renamed back, the bound
-    parameter's plan; the rows equal the reference evaluator's. All the
-    ports of a template share one memo entry (a template whose atoms equal
-    an earlier one's adds none)."""
-    assert len(_PORT_BOUND) == 4
-    for template, realized in _PORT_BOUND.items():
-        query = load_query(template)
-        lifted = substitute_nominals(query, {"port": Var("port")})
-        lifted_plan = plan(lifted, graph, frozenset({"port"}))
-        assert lifted_plan == _fresh_plan(lifted, graph, frozenset({"port"})), template
-        before = len(engine._PLANS[graph])
-        for port in realized(graph):
-            substituted = substitute_nominals(query, {"port": port})
-            planned = plan(substituted, graph)
-            assert planned == _fresh_plan(substituted, graph), (template, port)
-            back = substitute_nominals(replace(query, atoms=planned), {port: Var("port")})
-            assert back.atoms == lifted_plan, (template, port)
-            got = evaluate(substituted, graph).rows
-            assert sorted(got) == oracle_evaluate(substituted, graph), (template, port)
-        assert len(engine._PLANS[graph]) - before <= 1, template
-
-
-def test_memoised_plans_on_fixtures(vocab):
-    for build in (loop_scenario, unnecessary_scenario):
-        _check_memoised_plans(build(vocab)[0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_memoised_plans_on_random_graphs(seed):
-    rng = random.Random(seed)
-    graph = build_random_graph(rng, plant_patterns=True)
-    _check_memoised_plans(graph)
-    for _ in range(3):
-        query = build_random_query(rng, graph)
-        assert plan(query, graph) == _fresh_plan(query, graph)
-        assert sorted(evaluate(query, graph).rows) == oracle_evaluate(query, graph)
-
-
-def test_a_role_a_concept_or_a_parameter_tells_plans_apart(vocab):
-    # each pair of queries differs in one name or in its parameters only,
-    # and needs its own plan
-    graph, _ = loop_scenario(vocab)
-    lifted = substitute_nominals(load_query("loop_filtered"), {"port": Var("port")})
-    roles = "SELECT ?y WHERE { ?x st:%s ?y . ?x st:%s ?z }"
-    concepts = "SELECT ?x ?y WHERE { ?x a st:%s . ?y a st:%s . }"
-    pairs = [
-        [(parse_query(roles % names), {"x"}) for names in (
-            ("hasContainerEvent", "hasEndTime"), ("hasEndTime", "hasContainerEvent")
-        )],
-        [(parse_query(concepts % names), set()) for names in (
-            ("Port", "Vessel"), ("Vessel", "Port")
-        )],
-        [(lifted, {"port"}), (lifted, set())],
-    ]
-    for pair in pairs:
-        orders = []
-        for query, params in pair:
-            planned = plan(query, graph, frozenset(params))
-            assert planned == _fresh_plan(query, graph, frozenset(params)), (query, params)
-            orders.append([resolve_names(query, graph).index(atom) for atom in planned])
-        assert orders[0] != orders[1], pair
-
-
-def test_a_returned_plan_is_the_callers_own(vocab):
-    graph, _ = loop_scenario(vocab)
-    query = substitute_nominals(load_query("loop_filtered"), {"port": "port_p1_xx"})
-    first = plan(query, graph)
-    expected = list(first)
-    first.reverse()
-    first.pop()
-    assert plan(query, graph) == expected
-
-
-def test_graphs_with_different_statistics_keep_their_own_plans(vocab, monkeypatch):
-    # the branching patch of
-    # test_plan_joins_into_a_restricted_variable_by_its_restriction, on a
-    # second graph of the same fixture, changes that graph's plan only
-    query = substitute_nominals(load_query("loop_intermediate"), {"port": Var("port")})
-    params = frozenset({"port"})
-    graph, _ = loop_scenario(vocab)
-    patched, _ = loop_scenario(vocab)
-    branching = patched.role_branching
-    monkeypatch.setattr(
-        patched,
-        "role_branching",
-        lambda role: (2.0, 2.0) if patched.resolve_role(role).transitive else branching(role),
-    )
-    assert plan(query, graph, params) != plan(query, patched, params)
-    for each in (graph, patched):
-        assert plan(query, each, params) == _fresh_plan(query, each, params)
-
-
-def test_a_dropped_graph_takes_its_plans_along(vocab):
-    graph, _ = loop_scenario(vocab)
-    plan(parse_query("SELECT ?x WHERE { ?x a st:Port . }"), graph)
-    assert graph in engine._PLANS
-    dropped = weakref.ref(graph)
-    gc.collect()  # the graphs other tests dropped go first
-    entries = len(engine._PLANS)
-    del graph
-    gc.collect()
-    assert dropped() is None
-    assert len(engine._PLANS) == entries - 1
-
-
 def test_plan_requires_a_sealed_graph():
     graph = KnowledgeGraph()
     graph.add_individual("port_p1_xx", "Port")
     with pytest.raises(SealedGraphError):
         plan(parse_query("SELECT ?x WHERE { ?x a st:Port . }"), graph)
-    assert graph not in engine._PLANS
 
 
 def test_plan_preserves_semantics(vocab):
