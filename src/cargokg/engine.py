@@ -243,35 +243,45 @@ def plan_indices(
     yields the same result set; this one starts from nominal-anchored atoms
     and grows the join along shared variables.
 
-    An atom's estimate depends only on which of its own variables are bound,
-    so it is computed once per such state.
+    An atom's key depends only on which of its own variables are bound, and
+    on whether anything is bound yet. So after the first placement, only the
+    atoms that share a variable with the one just placed are re-keyed, and
+    an estimate is computed once per atom and state.
     """
     # a shared parameter does not connect two atoms: joining through it
     # would be a cross product per binding
     free = [[v for v in _atom_vars(atom) if v not in params] for atom in atoms]
     restricted = frozenset(_nominal_restrictor_specs(graph, atoms, params))
-    remaining = list(enumerate(atoms))
-    order: List[int] = []
+    users: Dict[str, List[int]] = {}  # variable -> atoms it is free in
+    for index, vars_ in enumerate(free):
+        for v in vars_:
+            users.setdefault(v, []).append(index)
     joined: set = set()  # bound by the atoms placed so far
     estimates: Dict[Tuple[int, Tuple[bool, ...]], Tuple[int, float]] = {}
-    while remaining:
-        bound = joined | params
 
-        def key(item):
-            index, atom = item
-            vars_ = free[index]
-            state = (index, tuple(v in joined for v in vars_))
-            estimate = estimates.get(state)
-            if estimate is None:
-                estimate = estimates[state] = _estimate(graph, atom, bound, params, restricted)
-            tier, size = estimate
-            connected = (not joined) or any(v in joined for v in vars_) or not vars_
-            return (0 if connected else 1, tier, size, index)
+    def key(index: int) -> tuple:
+        vars_ = free[index]
+        state = (index, tuple(v in joined for v in vars_))
+        estimate = estimates.get(state)
+        if estimate is None:
+            estimate = estimates[state] = _estimate(
+                graph, atoms[index], joined | params, params, restricted
+            )
+        tier, size = estimate
+        connected = (not joined) or any(v in joined for v in vars_) or not vars_
+        return (0 if connected else 1, tier, size, index)
 
-        remaining.sort(key=key)
-        index, _ = remaining.pop(0)
+    keys = {index: key(index) for index in range(len(atoms))}
+    order: List[int] = []
+    while keys:
+        index = min(keys, key=keys.__getitem__)
+        del keys[index]
         order.append(index)
-        joined.update(free[index])
+        new = [v for v in free[index] if v not in joined]
+        stale = keys if not joined else {i for v in new for i in users[v] if i in keys}
+        joined.update(new)
+        for i in list(stale):
+            keys[i] = key(i)
     return order
 
 

@@ -109,14 +109,9 @@ def test_plan_joins_into_a_restricted_variable_by_its_restriction(vocab, monkeyp
     assert position["hasNextEvent", "v1"] < position["hasContainerEvent", "t2"]
 
 
-def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
-    # an atom's estimate depends only on which of its own variables are
-    # bound: the planner asks once per state, and orders as if it asked
-    # again at every placement
-    graph, _ = loop_scenario(vocab)
-    query = substitute_nominals(load_query("loop_intermediate"), {"port": Var("port")})
-    params = frozenset({"port"})
-    atoms = resolve_names(query, graph)
+def _greedy_reference(graph, atoms, params):
+    """The planner's order, every remaining atom estimated afresh at every
+    placement."""
     restricted = frozenset(engine._nominal_restrictor_specs(graph, atoms, params))
 
     def free(atom):
@@ -133,6 +128,21 @@ def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
         remaining.sort(key=lambda item: key(item, joined))
         expected.append(remaining.pop(0)[1])
         joined.update(free(expected[-1]))
+    return expected
+
+
+def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
+    # an atom's estimate depends only on which of its own variables are
+    # bound: the planner asks once per state, and orders as if it asked
+    # again at every placement
+    graph, _ = loop_scenario(vocab)
+    query = substitute_nominals(load_query("loop_intermediate"), {"port": Var("port")})
+    params = frozenset({"port"})
+    atoms = resolve_names(query, graph)
+    expected = _greedy_reference(graph, atoms, params)
+
+    def free(atom):
+        return [v for v in engine._atom_vars(atom) if v not in params]
 
     states = []
     estimate = engine._estimate
@@ -146,6 +156,36 @@ def test_plan_estimates_each_atom_state_once(vocab, monkeypatch):
     assert len(states) == len(set(states))
     # estimating every remaining atom at every placement makes n(n+1)/2
     assert len(states) < len(atoms) * (len(atoms) + 1) // 2
+
+
+def test_plan_orders_like_the_greedy_reference(vocab):
+    # each template, its anchors fixed at realized ports and bound as
+    # parameters
+    for build in (loop_scenario, unnecessary_scenario):
+        graph, _ = build(vocab)
+        for template, anchors in DETECTORS.values():
+            query = load_query(template)
+            for pick in (0, -1):
+                fixed = substitute_nominals(
+                    query, {name: realized(graph)[pick] for name, realized in anchors.items()}
+                )
+                atoms = resolve_names(fixed, graph)
+                assert plan(fixed, graph) == _greedy_reference(graph, atoms, frozenset())
+            params = frozenset(anchors)
+            lifted = substitute_nominals(query, {name: Var(name) for name in params})
+            atoms = resolve_names(lifted, graph)
+            assert plan(lifted, graph, params) == _greedy_reference(graph, atoms, params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_plan_orders_like_the_greedy_reference_on_random_queries(seed):
+    rng = random.Random(seed)
+    graph = build_random_graph(rng, plant_patterns=True)
+    for _ in range(4):
+        query = build_random_query(rng, graph)
+        atoms = resolve_names(query, graph)
+        assert plan(query, graph) == _greedy_reference(graph, atoms, frozenset())
 
 
 def test_plan_requires_a_sealed_graph():
