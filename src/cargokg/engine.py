@@ -32,6 +32,8 @@ then role atoms sharing an already-bound variable; unconnected atoms (cross
 products) only when nothing else remains. The plan never changes the result,
 only the join order, and reads only the query's shape and the graph's
 statistics: a constant and a parameter are sized alike (see ``_estimate``).
+A placement re-keys only the atoms that share a variable with the atom
+placed, since no other atom's key can change (see ``plan_indices``).
 
 Evaluation
 ----------
