@@ -40,7 +40,7 @@ from .patterns import (
     write_report_csv,
 )
 from .pipeline import build, ingest
-from .queries import Const, atom_ends, parse_query, substitute_nominals
+from .queries import Const, RoleAtom, TypeAtom, parse_query, substitute_nominals
 from .segmentation import read_itineraries, write_itineraries
 from .synthgen import GenConfig, generate
 from .vessels import DEFAULT_CLUSTER_WINDOW_DAYS, write_vessel_stage
@@ -270,7 +270,14 @@ def _resolve_binding(graph: KnowledgeGraph, value: str) -> str:
 def _cmd_query(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         query = parse_query(fh.read())
-    placeholders = {t.name for a in query.atoms for t in atom_ends(a) if isinstance(t, Const)}
+    # a placeholder is an st: name where an individual stands: either end of
+    # a role atom, or the subject of a type atom
+    placeholders = set()
+    for a in query.atoms:
+        if isinstance(a, RoleAtom):
+            placeholders.update(t.name for t in (a.subject, a.object) if isinstance(t, Const))
+        elif isinstance(a, TypeAtom) and isinstance(a.subject, Const):
+            placeholders.add(a.subject.name)
     values = {}
     for item in args.bind:
         name, sep, value = item.partition("=")
@@ -281,7 +288,10 @@ def _cmd_query(args) -> int:
         if name in values:
             raise ValueError("--bind %s is given more than once" % name)
         if name not in placeholders:
-            raise ValueError("--bind %s: the query has no st:%s term" % (name, name))
+            raise ValueError(
+                "--bind %s: the query has no st:%s term where an individual stands"
+                % (name, name)
+            )
         values[name] = value
     graph = KnowledgeGraph.load(args.kb)
     mapping = {name: _resolve_binding(graph, value) for name, value in values.items()}

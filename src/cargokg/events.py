@@ -7,14 +7,11 @@ name. Carriers do not share an event vocabulary, so raw phrases are mapped
 onto a fixed taxonomy of reference events grouped under four top classes:
 TripStart, MaritimeTransshipment, TripEnd and Other.
 
-Two input renderings are supported:
-
-* pipe-delimited rows, 7 fields:
-  ``csm_id | container_id | date | event | location (CC) | status | vessel``
-  with ``--`` for an absent vessel;
-* CSV with a header row and columns
-  ``csm_id,container_id,date,event,location,country,loading_status,vessel``
-  (empty string for an absent vessel).
+CSMs are read from CSV with a header row and columns
+``csm_id,container_id,date,event,location,country,loading_status,vessel``;
+an empty vessel (or ``--``, ``-``, ``n/a``) means no vessel is involved.
+:func:`read_csm_csv` checks every row and skips or rejects a bad one, and a
+row that repeats the ``csm_id`` of an earlier accepted row is bad too.
 
 Dates are accepted as ``DD Mon YYYY`` or ISO ``YYYY-MM-DD`` and normalised to
 :class:`datetime.date`.
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .atomicfile import atomic_write
 from .diagnostics import Diagnostics, record
@@ -65,17 +62,6 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 def slug(text: str) -> str:
     """Lowercase identifier-safe form of a name ("Port Kelang" -> "port_kelang")."""
     return _SLUG_RE.sub("_", text.strip().lower()).strip("_") or "x"
-
-
-_LOCATION_CC_RE = re.compile(r"^(.*?)\s*\(([A-Za-z]{2})\)\s*$")
-
-
-def split_location(text: str) -> Location:
-    """Split "Shangai (CN)" into name and country; no parens means no country."""
-    m = _LOCATION_CC_RE.match(text.strip())
-    if m:
-        return Location(m.group(1).strip(), m.group(2).upper())
-    return Location(text.strip(), "")
 
 
 # ---------------------------------------------------------------------------
@@ -372,18 +358,35 @@ class CsmRecord:
 
 _ABSENT_VESSEL = {"", "--", "-", "n/a"}
 
+CSM_CSV_COLUMNS = [
+    "csm_id",
+    "container_id",
+    "date",
+    "event",
+    "location",
+    "country",
+    "loading_status",
+    "vessel",
+]
 
-def _parse_fields(
+
+def _parse_row(
     row_id: str,
-    container_id: str,
-    date_text: str,
-    event_text: str,
-    loc: Location,
-    status_text: str,
-    vessel_text: str,
+    row: List[str],
     strict_check_digit: bool,
     diagnostics: Optional[Diagnostics],
 ) -> CsmRecord:
+    """The record of one CSV row; raises CsmParseError on a bad field.
+
+    Check-digit mismatches are recorded as diagnostics unless
+    ``strict_check_digit`` is set, in which case they raise; carrier feeds do
+    not always carry valid digits, so the identifier is treated as data.
+    """
+    if len(row) != len(CSM_CSV_COLUMNS):
+        raise CsmParseError(
+            row_id, "expected %d fields, found %d" % (len(CSM_CSV_COLUMNS), len(row))
+        )
+    _, container_id, date_text, event_text, name, country, status_text, vessel_text = row
     shape_ok, digit_ok = validate_container_id(container_id)
     if not shape_ok:
         raise CsmParseError(row_id, "container id %r is not ISO 6346 shaped" % container_id)
@@ -411,66 +414,30 @@ def _parse_fields(
         container_id=container_id.strip().upper(),
         time=when,
         raw_event_text=event_text.strip(),
-        location=loc,
+        location=Location(name.strip(), country.strip().upper()),
         loading_status=status,
         vessel_name=vessel_name,
     )
 
 
-def parse_csm_record(
-    line: str,
-    strict_check_digit: bool = False,
-    diagnostics: Optional[Diagnostics] = None,
-) -> CsmRecord:
-    """Parse one pipe-delimited CSM row.
-
-    The row has 7 fields: CSM id, container id, date, event, location,
-    loading status, vessel ("--" when absent). Check-digit mismatches are
-    recorded as diagnostics unless ``strict_check_digit`` is set, in which
-    case they raise; the table rows circulating in carrier feeds do not
-    always carry valid digits, so the identifier is treated as data.
-    """
-    fields = [f.strip() for f in line.strip().split("|")]
-    row_id = fields[0] if fields and fields[0] else "<unknown>"
-    if len(fields) != 7:
-        raise CsmParseError(row_id, "expected 7 fields, found %d" % len(fields))
-    return _parse_fields(
-        row_id,
-        fields[1],
-        fields[2],
-        fields[3],
-        split_location(fields[4]),
-        fields[5],
-        fields[6],
-        strict_check_digit,
-        diagnostics,
-    )
-
-
-CSM_CSV_COLUMNS = [
-    "csm_id",
-    "container_id",
-    "date",
-    "event",
-    "location",
-    "country",
-    "loading_status",
-    "vessel",
-]
-
-
-def iter_csm_csv(
+def read_csm_csv(
     path: str,
     strict_check_digit: bool = False,
     diagnostics: Optional[Diagnostics] = None,
-) -> Iterator[Union[CsmRecord, CsmParseError]]:
-    """Yield records (or per-row parse errors) from a CSM CSV file.
+    on_error: str = "skip",
+) -> List[CsmRecord]:
+    """Read a CSM CSV, skipping or aborting on bad rows per ``on_error``.
 
-    Errors are yielded rather than raised so the caller can decide between
-    skipping bad rows and aborting the ingest. A file that is not CSV (say,
-    a field over the csv module's size limit) raises CsmParseError naming
-    the line.
+    A bad row fails a field check, or repeats the ``csm_id`` of an earlier
+    accepted row (the first one wins). Under ``"skip"`` it is counted as a
+    ``skipped_row`` diagnostic; under ``"abort"`` it raises CsmParseError.
+    A file that is not CSV (say, a field over the csv module's size limit)
+    raises CsmParseError naming the line.
     """
+    if on_error not in ("skip", "abort"):
+        raise ValueError("on_error must be 'skip' or 'abort'")
+    records: List[CsmRecord] = []
+    accepted: Set[str] = set()  # the csm_ids of the records
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -486,47 +453,18 @@ def iter_csm_csv(
                 lineno, start = start, reader.line_num + 1
                 if not row or all(not cell.strip() for cell in row):
                     continue
-                row_id = row[0].strip() if row[0].strip() else "line %d" % lineno
-                if len(row) != len(CSM_CSV_COLUMNS):
-                    yield CsmParseError(
-                        row_id, "expected %d fields, found %d" % (len(CSM_CSV_COLUMNS), len(row))
-                    )
-                    continue
+                row_id = row[0].strip() or "line %d" % lineno
                 try:
-                    yield _parse_fields(
-                        row_id,
-                        row[1],
-                        row[2],
-                        row[3],
-                        Location(row[4].strip(), row[5].strip().upper()),
-                        row[6],
-                        row[7],
-                        strict_check_digit,
-                        diagnostics,
-                    )
+                    if row_id in accepted:
+                        raise CsmParseError(row_id, "csm_id repeats an earlier row")
+                    records.append(_parse_row(row_id, row, strict_check_digit, diagnostics))
+                    accepted.add(row_id)
                 except CsmParseError as exc:
-                    yield exc
+                    if on_error == "abort":
+                        raise
+                    record(diagnostics, "skipped_row", str(exc))
         except csv.Error as exc:
             raise CsmParseError("line %d" % reader.line_num, str(exc)) from None
-
-
-def read_csm_csv(
-    path: str,
-    strict_check_digit: bool = False,
-    diagnostics: Optional[Diagnostics] = None,
-    on_error: str = "skip",
-) -> List[CsmRecord]:
-    """Read a CSM CSV, skipping or aborting on bad rows per ``on_error``."""
-    if on_error not in ("skip", "abort"):
-        raise ValueError("on_error must be 'skip' or 'abort'")
-    records: List[CsmRecord] = []
-    for item in iter_csm_csv(path, strict_check_digit, diagnostics):
-        if isinstance(item, CsmParseError):
-            if on_error == "abort":
-                raise item
-            record(diagnostics, "skipped_row", str(item))
-        else:
-            records.append(item)
     return records
 
 

@@ -287,7 +287,7 @@ def segment_all(
 
 class StageFileError(ValueError):
     """A line of a stage dump is malformed: not JSON, a field missing or of
-    the wrong shape, or an event that the events file lacks."""
+    the wrong shape, or an event that the events file lacks or holds twice."""
 
     def __init__(self, path: str, number: int, cause: Exception):
         reason = "missing field %s" % cause if type(cause) is KeyError else str(cause)
@@ -405,8 +405,17 @@ def write_itineraries(
 def read_itineraries(
     itineraries_path: str, events_path: str
 ) -> List[ContainerItinerary]:
-    """Read back the dumps of :func:`write_itineraries`."""
-    events = {e.event_id: e for e in _read_dump(events_path, event_from_json)}
+    """Read back the dumps of :func:`write_itineraries`; an event id the
+    events file holds twice is a :class:`StageFileError`."""
+    events: Dict[str, ContainerEvent] = {}
+
+    def add_event(doc: dict) -> None:
+        event = event_from_json(doc)
+        if event.event_id in events:
+            raise ValueError("event %s is already in the events file" % event.event_id)
+        events[event.event_id] = event
+
+    _read_dump(events_path, add_event)
     return _read_dump(itineraries_path, lambda doc: itinerary_from_json(doc, events))
 
 

@@ -1,30 +1,33 @@
 """Shared builders: the 11-row carrier sample and the two anomaly scenarios.
 
-The scenario builders construct the container side from raw rows through the
-real pipeline (parse, classify, segment) and wire the vessel side by hand so
-tests control the routing exactly.
+The scenario builders construct the container side from raw CSV rows through
+the real pipeline (read, classify, segment) and wire the vessel side by hand
+so tests control the routing exactly.
 """
 
+import os
+import tempfile
 from datetime import date, timedelta
 
-from cargokg.events import Location, parse_csm_record
+from cargokg.events import CSM_CSV_COLUMNS, Location, read_csm_csv
 from cargokg.graph import populate
 from cargokg.linking import VesselEventIndex, bind_transshipments
 from cargokg.segmentation import events_from_records, segment_container_sequence
 from cargokg.vessels import VesselEvent, VesselEventKind, build_vessel_trips
 
+# the paper's Table 3, as CSM CSV rows without the header
 TABLE3_LINES = [
-    "12345 | ABCD1234567 | 27 May 2010 | Received at Origin | Shangai (CN) | Empty | --",
-    "12346 | ABCD1234567 | 27 May 2010 | Gate In | Shangai (CN) | Full | --",
-    "12350 | ABCD1234567 | 30 May 2010 | Loaded/Ramped | Shangai (CN) | Full | Aurora",
-    "12365 | ABCD1234567 | 15 Jun 2010 | Discharged/Deramped | Port Kelang (MY) | Full | --",
-    "12366 | ABCD1234567 | 17 Jun 2010 | Loaded/Ramped | Port Kelang (MY) | Full | Dawn",
-    "12381 | ABCD1234567 | 03 Jul 2010 | Discharged/Deramped | Antwerpen (BE) | Full | --",
-    "12399 | ABCD1234567 | 09 Jul 2010 | Gate Out | Antwerpen (BE) | Full | --",
-    "12455 | ABCD1234567 | 16 Jul 2010 | Final Destination | Antwerpen (BE) | Full | --",
-    "12484 | ABCD1234567 | 20 Aug 2010 | Received at Origin | Antwerpen (BE) | Empty | --",
-    "12545 | ABCD1234567 | 23 Aug 2010 | Gate In | Antwerpen (BE) | Full | --",
-    "12555 | ABCD1234567 | 24 Aug 2010 | Loaded/Ramped | Antwerpen (BE) | Full | Sun",
+    "12345,ABCD1234567,27 May 2010,Received at Origin,Shangai,CN,Empty,",
+    "12346,ABCD1234567,27 May 2010,Gate In,Shangai,CN,Full,",
+    "12350,ABCD1234567,30 May 2010,Loaded/Ramped,Shangai,CN,Full,Aurora",
+    "12365,ABCD1234567,15 Jun 2010,Discharged/Deramped,Port Kelang,MY,Full,",
+    "12366,ABCD1234567,17 Jun 2010,Loaded/Ramped,Port Kelang,MY,Full,Dawn",
+    "12381,ABCD1234567,03 Jul 2010,Discharged/Deramped,Antwerpen,BE,Full,",
+    "12399,ABCD1234567,09 Jul 2010,Gate Out,Antwerpen,BE,Full,",
+    "12455,ABCD1234567,16 Jul 2010,Final Destination,Antwerpen,BE,Full,",
+    "12484,ABCD1234567,20 Aug 2010,Received at Origin,Antwerpen,BE,Empty,",
+    "12545,ABCD1234567,23 Aug 2010,Gate In,Antwerpen,BE,Full,",
+    "12555,ABCD1234567,24 Aug 2010,Loaded/Ramped,Antwerpen,BE,Full,Sun",
 ]
 
 SHANGAI = Location("Shangai", "CN")
@@ -32,8 +35,17 @@ PORT_KELANG = Location("Port Kelang", "MY")
 ANTWERPEN = Location("Antwerpen", "BE")
 
 
+def read_csm_rows(rows):
+    """The records of CSM CSV ``rows`` (no header), read by read_csm_csv."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "csm.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join([",".join(CSM_CSV_COLUMNS)] + list(rows)) + "\n")
+        return read_csm_csv(path, on_error="abort")
+
+
 def table3_records(vocab=None):
-    return [parse_csm_record(line) for line in TABLE3_LINES]
+    return read_csm_rows(TABLE3_LINES)
 
 
 def table3_itineraries(vocab):
@@ -72,7 +84,7 @@ def _vessel_chain(vessel_id, calls):
 
 
 def _scenario_graph(csm_lines, vessel_events, vocab):
-    records = [parse_csm_record(line) for line in csm_lines]
+    records = read_csm_rows(csm_lines)
     per_container = events_from_records(records, vocab)
     itineraries = []
     for container_id in sorted(per_container):
@@ -96,14 +108,14 @@ PX = Location("PX", "XX")
 P9 = Location("P9", "XX")
 
 LOOP_CONTAINER_LINES = [
-    "1001 | FIGU0000514 | 2010-03-01 | Received at Origin | P1 (XX) | Empty | --",
-    "1002 | FIGU0000514 | 2010-03-02 | Gate In | P1 (XX) | Full | --",
-    "1003 | FIGU0000514 | 2010-03-03 | Loaded | P1 (XX) | Full | Vessel1",
-    "1004 | FIGU0000514 | 2010-03-06 | Discharged | P3 (XX) | Full | Vessel1",
-    "1005 | FIGU0000514 | 2010-03-08 | Loaded | P3 (XX) | Full | Vessel2",
-    "1006 | FIGU0000514 | 2010-03-13 | Discharged | PX (XX) | Full | Vessel2",
-    "1007 | FIGU0000514 | 2010-03-13 | Gate Out | PX (XX) | Full | --",
-    "1008 | FIGU0000514 | 2010-03-13 | Final Destination | PX (XX) | Full | --",
+    "1001,FIGU0000514,2010-03-01,Received at Origin,P1,XX,Empty,",
+    "1002,FIGU0000514,2010-03-02,Gate In,P1,XX,Full,",
+    "1003,FIGU0000514,2010-03-03,Loaded,P1,XX,Full,Vessel1",
+    "1004,FIGU0000514,2010-03-06,Discharged,P3,XX,Full,Vessel1",
+    "1005,FIGU0000514,2010-03-08,Loaded,P3,XX,Full,Vessel2",
+    "1006,FIGU0000514,2010-03-13,Discharged,PX,XX,Full,Vessel2",
+    "1007,FIGU0000514,2010-03-13,Gate Out,PX,XX,Full,",
+    "1008,FIGU0000514,2010-03-13,Final Destination,PX,XX,Full,",
 ]
 
 
@@ -134,14 +146,14 @@ def loop_scenario(vocab, loop_routing=True):
 
 
 UNNECESSARY_CONTAINER_LINES = [
-    "2001 | FIGU0000620 | 2010-04-01 | Received at Origin | P1 (XX) | Empty | --",
-    "2002 | FIGU0000620 | 2010-04-02 | Gate In | P1 (XX) | Full | --",
-    "2003 | FIGU0000620 | 2010-04-03 | Loaded | P1 (XX) | Full | Vessel1",
-    "2004 | FIGU0000620 | 2010-04-06 | Discharged | P3 (XX) | Full | Vessel1",
-    "2005 | FIGU0000620 | 2010-04-07 | Loaded | P3 (XX) | Full | Vessel2",
-    "2006 | FIGU0000620 | 2010-04-10 | Discharged | P4 (XX) | Full | Vessel2",
-    "2007 | FIGU0000620 | 2010-04-10 | Gate Out | P4 (XX) | Full | --",
-    "2008 | FIGU0000620 | 2010-04-10 | Final Destination | P4 (XX) | Full | --",
+    "2001,FIGU0000620,2010-04-01,Received at Origin,P1,XX,Empty,",
+    "2002,FIGU0000620,2010-04-02,Gate In,P1,XX,Full,",
+    "2003,FIGU0000620,2010-04-03,Loaded,P1,XX,Full,Vessel1",
+    "2004,FIGU0000620,2010-04-06,Discharged,P3,XX,Full,Vessel1",
+    "2005,FIGU0000620,2010-04-07,Loaded,P3,XX,Full,Vessel2",
+    "2006,FIGU0000620,2010-04-10,Discharged,P4,XX,Full,Vessel2",
+    "2007,FIGU0000620,2010-04-10,Gate Out,P4,XX,Full,",
+    "2008,FIGU0000620,2010-04-10,Final Destination,P4,XX,Full,",
 ]
 
 

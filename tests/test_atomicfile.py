@@ -4,6 +4,7 @@ leaves the previous files byte-identical and no partial file behind."""
 import dataclasses
 import os
 import stat
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -103,11 +104,11 @@ def _bench(paths, result, fail):
 def test_a_failed_write_keeps_the_previous_files(tmp_path, result, write, names, error):
     paths = [str(tmp_path / name) for name in names]
     write(paths, result, fail=False)
-    before = [open(p, "rb").read() for p in paths]
+    before = [Path(p).read_bytes() for p in paths]
     assert all(before)
     with pytest.raises(error):
         write(paths, result, fail=True)
-    assert [open(p, "rb").read() for p in paths] == before
+    assert [Path(p).read_bytes() for p in paths] == before
     assert sorted(os.listdir(tmp_path)) == sorted(names)
 
 

@@ -151,8 +151,9 @@ def ut_query(tmp_path, vocab):
 
 
 def test_bind_of_a_name_the_query_lacks_is_an_error(ut_query, capsys):
-    # hasCIDestinationPort is an st: name of the query, but a role, not a term
-    for name in ("nosuch", "hasCIDestinationPort"):
+    # hasCIDestinationPort and Container_itinerary are st: names of the
+    # query, but a role and a concept, not individuals
+    for name in ("nosuch", "hasCIDestinationPort", "Container_itinerary"):
         code, out, err = _run(capsys, *ut_query, "--bind", name + "=port_p4_xx")
         assert code == 1 and out == ""
         assert "--bind %s: the query has no st:%s term" % (name, name) in err
@@ -303,6 +304,11 @@ def test_build_kb_reports_bad_stage_files(tmp_path, capsys):
     assert "error: %s line 1: event 12381 is not in the events file" % itineraries in err
     assert "Traceback" not in err
 
+    events.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+    code, _, err = _run(capsys, *build)
+    assert code == 1
+    assert "error: %s line 4: event 12350 is already in the events file" % events in err
+
     events.write_text("\n".join(lines[:1] + ['{"event_id": "12346"}'] + lines[2:]) + "\n")
     code, _, err = _run(capsys, *build)
     assert code == 1
@@ -313,6 +319,34 @@ def test_build_kb_reports_bad_stage_files(tmp_path, capsys):
         code, _, err = _run(capsys, *build)
         assert code == 1
         assert "error: %s line 3:" % events in err
+
+
+def test_ingest_treats_a_repeated_csm_id_as_a_bad_row(tmp_path, capsys):
+    csm = tmp_path / "csm.csv"
+    csm.write_text(
+        ",".join(CSM_CSV_COLUMNS) + "\n"
+        "10000001,ABCU1234560,2010-05-27,Gate In,Shangai,CN,Full,\n"
+        "10000002,ABCU1234560,2010-05-30,Loaded/Ramped,Shangai,CN,Full,Aurora\n"
+        "10000002,ABCU1234560,2010-06-20,Discharged/Deramped,Rotterdam,NL,Full,\n"
+        "10000003,ABCU1234560,2010-06-21,Gate Out,Rotterdam,NL,Full,\n"
+    )
+    stage = ["--out-itineraries", str(tmp_path / "it.jsonl"),
+             "--out-events", str(tmp_path / "ev.jsonl")]
+    code, out, err = _run(capsys, "ingest", "--input", str(csm), "--on-error", "abort", *stage)
+    assert code == 1 and out == ""
+    assert "error: row 10000002: csm_id repeats an earlier row" in err
+
+    code, out, _ = _run(capsys, "ingest", "--input", str(csm), *stage)
+    assert code == 0
+    assert "records=3 " in out and "skipped_rows=1 " in out
+    code, _, err = _run(
+        capsys, "build-kb", "--itineraries", str(tmp_path / "it.jsonl"),
+        "--events", str(tmp_path / "ev.jsonl"), "--out", str(tmp_path / "g.kb"),
+    )
+    assert code == 0, err
+    graph = KnowledgeGraph.load(str(tmp_path / "g.kb"))
+    # the first occurrence, the load at Shangai, is kept
+    assert graph.objects("ce_10000002", "hasLocation") == ("port_shangai_cn",)
 
 
 def test_ingest_strict_and_abort(tmp_path, capsys):

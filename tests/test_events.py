@@ -14,22 +14,20 @@ from cargokg.events import (
     load_vocabulary,
     make_container_id,
     normalize_phrase,
-    parse_csm_record,
     parse_event_date,
     read_csm_csv,
-    split_location,
     timestamp_literal,
     validate_container_id,
     write_csm_csv,
 )
 
-from helpers import table3_records
+from helpers import read_csm_rows, table3_records
+
+HEADER = "csm_id,container_id,date,event,location,country,loading_status,vessel\n"
 
 
 def test_parse_row_with_vessel():
-    rec = parse_csm_record(
-        "12350 | ABCD1234567 | 30 May 2010 | Loaded/Ramped | Shangai (CN) | Full | Aurora"
-    )
+    [rec] = read_csm_rows(["12350,ABCD1234567,30 May 2010,Loaded/Ramped,Shangai,CN,Full,Aurora"])
     assert rec.csm_id == "12350"
     assert rec.container_id == "ABCD1234567"
     assert rec.time == date(2010, 5, 30)
@@ -39,35 +37,47 @@ def test_parse_row_with_vessel():
 
 
 def test_parse_row_without_vessel():
-    rec = parse_csm_record(
-        "12345 | ABCD1234567 | 27 May 2010 | Received at Origin | Shangai (CN) | Empty | --"
-    )
-    assert rec.vessel_name is None
-    assert rec.loading_status is LoadingStatus.EMPTY
+    # an empty vessel column or "--" in its place
+    for vessel in ("", "--"):
+        [rec] = read_csm_rows(
+            ["12345,ABCD1234567,27 May 2010,Received at Origin,Shangai,CN,Empty," + vessel]
+        )
+        assert rec.vessel_name is None
+        assert rec.loading_status is LoadingStatus.EMPTY
 
 
 def test_parse_field_count_mismatch_names_row():
     with pytest.raises(CsmParseError) as err:
-        parse_csm_record("12345 | ABCD1234567 | 27 May 2010 | Gate In | Shangai (CN) | Full")
+        read_csm_rows(["12345,ABCD1234567,27 May 2010,Gate In,Shangai,CN,Full"])
     assert "12345" in str(err.value)
-    assert "7 fields" in str(err.value)
+    assert "8 fields" in str(err.value)
 
 
 def test_parse_malformed_date():
     with pytest.raises(CsmParseError) as err:
-        parse_csm_record(
-            "77 | ABCD1234560 | 30 Smarch 2010 | Gate In | Shangai (CN) | Full | --"
-        )
+        read_csm_rows(["77,ABCD1234560,30 Smarch 2010,Gate In,Shangai,CN,Full,"])
     assert "date" in str(err.value)
 
 
-def test_check_digit_diagnostic_vs_strict():
+def test_check_digit_diagnostic_vs_strict(tmp_path):
+    path = tmp_path / "csm.csv"
+    path.write_text(HEADER + "12346,ABCD1234567,27 May 2010,Gate In,Shangai,CN,Full,\n")
     diag = Diagnostics()
-    line = "12346 | ABCD1234567 | 27 May 2010 | Gate In | Shangai (CN) | Full | --"
-    parse_csm_record(line, diagnostics=diag)
+    read_csm_csv(str(path), diagnostics=diag)
     assert diag.count("bad_check_digit") == 1
     with pytest.raises(CsmParseError):
-        parse_csm_record(line, strict_check_digit=True)
+        read_csm_csv(str(path), strict_check_digit=True, on_error="abort")
+
+
+def test_loading_status_is_empty_or_full():
+    rows = [
+        "1,ABCD1234560,2010-01-01,Gate In,Shangai,CN,EMPTY,",
+        "2,ABCD1234560,2010-01-01,Gate In,Shangai,CN, full ,",
+    ]
+    statuses = [r.loading_status for r in read_csm_rows(rows)]
+    assert statuses == [LoadingStatus.EMPTY, LoadingStatus.FULL]
+    with pytest.raises(CsmParseError, match="row 3: unknown loading status 'Half'"):
+        read_csm_rows(["3,ABCD1234560,2010-01-01,Gate In,Shangai,CN,Half,"])
 
 
 def test_iso6346_shapes_and_digits():
@@ -92,9 +102,15 @@ def test_timestamp_literal_substring_offset():
     assert lit[4:14] == "2010-07-16"
 
 
-def test_split_location():
-    assert split_location("Port Kelang (MY)") == Location("Port Kelang", "MY")
-    assert split_location("Inland Depot") == Location("Inland Depot", "")
+def test_location_and_country_columns():
+    rows = [
+        "1,ABCD1234560,2010-01-01,Gate In, Port Kelang ,my,Full,",
+        "2,ABCD1234560,2010-01-01,Gate In,Inland Depot,,Full,",
+    ]
+    assert [r.location for r in read_csm_rows(rows)] == [
+        Location("Port Kelang", "MY"),
+        Location("Inland Depot", ""),
+    ]
 
 
 def test_classify_examples(vocab):
@@ -145,6 +161,41 @@ def test_csv_skip_vs_abort(tmp_path):
     assert diag.count("skipped_row") == 1
     with pytest.raises(CsmParseError):
         read_csm_csv(str(path), on_error="abort")
+
+
+def test_a_repeated_csm_id_is_a_bad_row(tmp_path):
+    path = tmp_path / "csm.csv"
+    path.write_text(
+        HEADER
+        + "10000001,ABCU1234560,2010-05-27,Received at Origin,Shangai,CN,Empty,\n"
+        + "10000002,ABCU1234560,2010-05-30,Loaded/Ramped,Shangai,CN,Full,Aurora\n"
+        + "10000002,ABCU1234560,2010-06-20,Discharged/Deramped,Rotterdam,NL,Full,\n"
+        + "10000003,ABCU1234560,2010-06-21,Gate Out,Rotterdam,NL,Full,\n"
+    )
+    diag = Diagnostics()
+    records = read_csm_csv(str(path), diagnostics=diag)
+    # the first occurrence wins
+    assert [(r.csm_id, r.location.name) for r in records] == [
+        ("10000001", "Shangai"),
+        ("10000002", "Shangai"),
+        ("10000003", "Rotterdam"),
+    ]
+    assert diag.records == [("skipped_row", "row 10000002: csm_id repeats an earlier row")]
+    with pytest.raises(CsmParseError, match="row 10000002: csm_id repeats an earlier row"):
+        read_csm_csv(str(path), on_error="abort")
+
+
+def test_a_row_may_reuse_the_csm_id_of_a_skipped_row(tmp_path):
+    path = tmp_path / "csm.csv"
+    path.write_text(
+        HEADER
+        + "7,ABCU1234560,garbage,Gate In,Shangai,CN,Full,\n"
+        + "7,ABCU1234560,2010-05-27,Gate In,Shangai,CN,Full,\n"
+    )
+    diag = Diagnostics()
+    [rec] = read_csm_csv(str(path), diagnostics=diag)
+    assert rec.time == date(2010, 5, 27)
+    assert diag.count("skipped_row") == 1
 
 
 def test_csv_rows_are_numbered_by_the_physical_line_they_start_on(tmp_path):

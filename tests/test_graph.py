@@ -8,6 +8,7 @@ import tempfile
 import tracemalloc
 from dataclasses import replace
 from datetime import date
+from pathlib import Path
 from urllib.parse import quote
 
 import pytest
@@ -325,7 +326,7 @@ def test_save_load_roundtrip(tmp_path, vocab):
     graph.save(path1)
     loaded = KnowledgeGraph.load(path1)
     loaded.save(path2)
-    assert open(path1).read() == open(path2).read()
+    assert Path(path1).read_text() == Path(path2).read_text()
     assert loaded.count_by_concept() == graph.count_by_concept()
     assert loaded.edge_count() == graph.edge_count()
 
@@ -739,11 +740,11 @@ def test_port_nominals_index(vocab):
 # (Seychelles) sorts last by id, so a port index that followed declaration
 # order would differ between populate and load.
 VICTORIA_LINES = [
-    "3001 | FIGU0000514 | 2010-05-01 | Received at Origin | Victoria (SC) | Empty | --",
-    "3002 | FIGU0000514 | 2010-05-02 | Gate In | Victoria (SC) | Full | --",
-    "3003 | FIGU0000514 | 2010-05-03 | Loaded | Victoria (SC) | Full | Vessel1",
-    "3004 | FIGU0000514 | 2010-05-09 | Discharged | Victoria (CA) | Full | Vessel1",
-    "3005 | FIGU0000514 | 2010-05-09 | Final Destination | Victoria (CA) | Full | --",
+    "3001,FIGU0000514,2010-05-01,Received at Origin,Victoria,SC,Empty,",
+    "3002,FIGU0000514,2010-05-02,Gate In,Victoria,SC,Full,",
+    "3003,FIGU0000514,2010-05-03,Loaded,Victoria,SC,Full,Vessel1",
+    "3004,FIGU0000514,2010-05-09,Discharged,Victoria,CA,Full,Vessel1",
+    "3005,FIGU0000514,2010-05-09,Final Destination,Victoria,CA,Full,",
 ]
 
 

@@ -10,7 +10,14 @@ from cargokg.linking import (
 from cargokg.segmentation import events_from_records, segment_container_sequence
 from cargokg.vessels import VesselEvent, VesselEventKind, reconstruct_all
 
-from helpers import P1, SHANGAI, loop_scenario, table3_records, unnecessary_scenario
+from helpers import (
+    P1,
+    SHANGAI,
+    loop_scenario,
+    read_csm_rows,
+    table3_records,
+    unnecessary_scenario,
+)
 
 
 def _table3_pipeline(vocab):
@@ -62,15 +69,14 @@ def test_scenario_transshipment_bindings(vocab):
 
 
 def _mini_itineraries(vocab, lines):
-    from cargokg.events import parse_csm_record
     from cargokg.segmentation import event_from_record
 
-    events = [event_from_record(parse_csm_record(l), vocab) for l in lines]
+    events = [event_from_record(r, vocab) for r in read_csm_rows(lines)]
     return segment_container_sequence(events)
 
 
 def test_window_boundaries(vocab):
-    lines = ["1 | ABCD1234560 | 2011-01-10 | Loaded | P1 (XX) | Full | Vega"]
+    lines = ["1,ABCD1234560,2011-01-10,Loaded,P1,XX,Full,Vega"]
     itineraries = _mini_itineraries(vocab, lines)
     inside = VesselEventIndex(
         [VesselEvent("ve_vega_0", VesselEventKind.DEPARTURE, "vega", P1, date(2011, 1, 13))]
@@ -85,7 +91,7 @@ def test_window_boundaries(vocab):
 
 
 def test_no_backward_load_binding(vocab):
-    lines = ["1 | ABCD1234560 | 2011-01-10 | Loaded | P1 (XX) | Full | Vega"]
+    lines = ["1,ABCD1234560,2011-01-10,Loaded,P1,XX,Full,Vega"]
     itineraries = _mini_itineraries(vocab, lines)
     index = VesselEventIndex(
         [VesselEvent("ve_vega_0", VesselEventKind.DEPARTURE, "vega", P1, date(2011, 1, 9))]

@@ -1,7 +1,7 @@
 import random
 from datetime import date, timedelta
 
-from cargokg.events import LoadingStatus, parse_csm_record
+from cargokg.events import LoadingStatus
 from cargokg.segmentation import (
     Completeness,
     event_from_record,
@@ -10,26 +10,11 @@ from cargokg.segmentation import (
     write_itineraries,
 )
 
-from helpers import ANTWERPEN, PORT_KELANG, SHANGAI, table3_itineraries
-
-
-def _event(eid, day, loc, leaf_builder, status=LoadingStatus.FULL, vessel=None):
-    """Build a ContainerEvent through the record parser for realism."""
-    vessel_field = vessel if vessel else "--"
-    line = "%s | ABCD1234560 | %s | %s | %s (XX) | %s | %s" % (
-        eid,
-        date(2011, 1, 1) + timedelta(days=day),
-        leaf_builder,
-        loc,
-        status.value,
-        vessel_field,
-    )
-    return line
+from helpers import ANTWERPEN, PORT_KELANG, SHANGAI, read_csm_rows, table3_itineraries
 
 
 def _events(lines, vocab):
-    records = [parse_csm_record(line) for line in lines]
-    return [event_from_record(r, vocab) for r in records]
+    return [event_from_record(r, vocab) for r in read_csm_rows(lines)]
 
 
 def test_table3_two_itineraries(vocab):
@@ -73,12 +58,12 @@ def test_empty_sequence(vocab):
 
 def test_status_flip_without_trip_end(vocab):
     lines = [
-        "1 | ABCD1234560 | 2011-01-02 | Gate In | A (XX) | Full | --",
-        "2 | ABCD1234560 | 2011-01-03 | Loaded | A (XX) | Full | V1",
-        "3 | ABCD1234560 | 2011-01-06 | Discharged | B (XX) | Full | --",
-        "4 | ABCD1234560 | 2011-01-09 | Mystery Move | B (XX) | Empty | --",
-        "5 | ABCD1234560 | 2011-02-01 | Loaded | B (XX) | Full | V2",
-        "6 | ABCD1234560 | 2011-02-04 | Discharged | C (XX) | Full | --",
+        "1,ABCD1234560,2011-01-02,Gate In,A,XX,Full,",
+        "2,ABCD1234560,2011-01-03,Loaded,A,XX,Full,V1",
+        "3,ABCD1234560,2011-01-06,Discharged,B,XX,Full,",
+        "4,ABCD1234560,2011-01-09,Mystery Move,B,XX,Empty,",
+        "5,ABCD1234560,2011-02-01,Loaded,B,XX,Full,V2",
+        "6,ABCD1234560,2011-02-04,Discharged,C,XX,Full,",
     ]
     itineraries = segment_container_sequence(_events(lines, vocab))
     assert len(itineraries) == 2
@@ -89,11 +74,11 @@ def test_status_flip_without_trip_end(vocab):
 def test_status_flip_pulls_trip_start_forward(vocab):
     # a ReceivedAtOrigin (Empty) right before the flip opens the new shipment
     lines = [
-        "1 | ABCD1234560 | 2011-01-02 | Loaded | A (XX) | Full | V1",
-        "2 | ABCD1234560 | 2011-01-06 | Discharged | B (XX) | Full | --",
-        "3 | ABCD1234560 | 2011-01-20 | Received at Origin | B (XX) | Empty | --",
-        "4 | ABCD1234560 | 2011-01-21 | Gate In | B (XX) | Full | --",
-        "5 | ABCD1234560 | 2011-01-22 | Loaded | B (XX) | Full | V2",
+        "1,ABCD1234560,2011-01-02,Loaded,A,XX,Full,V1",
+        "2,ABCD1234560,2011-01-06,Discharged,B,XX,Full,",
+        "3,ABCD1234560,2011-01-20,Received at Origin,B,XX,Empty,",
+        "4,ABCD1234560,2011-01-21,Gate In,B,XX,Full,",
+        "5,ABCD1234560,2011-01-22,Loaded,B,XX,Full,V2",
     ]
     itineraries = segment_container_sequence(_events(lines, vocab))
     assert len(itineraries) == 2
@@ -109,12 +94,12 @@ def test_leading_empty_is_not_a_boundary(vocab):
 
 def test_same_day_boundary_assignment(vocab):
     lines = [
-        "1 | ABCD1234560 | 2011-01-02 | Gate In | A (XX) | Full | --",
-        "2 | ABCD1234560 | 2011-01-03 | Loaded | A (XX) | Full | V1",
-        "3 | ABCD1234560 | 2011-01-06 | Discharged | B (XX) | Full | --",
-        "4 | ABCD1234560 | 2011-01-08 | Final Destination | B (XX) | Full | --",
-        "5 | ABCD1234560 | 2011-01-08 | Received at Origin | B (XX) | Empty | --",
-        "6 | ABCD1234560 | 2011-01-09 | Gate In | B (XX) | Full | --",
+        "1,ABCD1234560,2011-01-02,Gate In,A,XX,Full,",
+        "2,ABCD1234560,2011-01-03,Loaded,A,XX,Full,V1",
+        "3,ABCD1234560,2011-01-06,Discharged,B,XX,Full,",
+        "4,ABCD1234560,2011-01-08,Final Destination,B,XX,Full,",
+        "5,ABCD1234560,2011-01-08,Received at Origin,B,XX,Empty,",
+        "6,ABCD1234560,2011-01-09,Gate In,B,XX,Full,",
     ]
     itineraries = segment_container_sequence(_events(lines, vocab))
     assert len(itineraries) == 2
@@ -123,7 +108,7 @@ def test_same_day_boundary_assignment(vocab):
 
 
 def test_single_event_partial_head(vocab):
-    lines = ["1 | ABCD1234560 | 2011-01-02 | Discharged | A (XX) | Full | --"]
+    lines = ["1,ABCD1234560,2011-01-02,Discharged,A,XX,Full,"]
     itineraries = segment_container_sequence(_events(lines, vocab))
     assert len(itineraries) == 1
     assert itineraries[0].completeness is Completeness.PARTIAL_HEAD
@@ -131,11 +116,11 @@ def test_single_event_partial_head(vocab):
 
 def test_merged_suspect_label(vocab):
     lines = [
-        "1 | ABCD1234560 | 2011-01-02 | Gate In | A (XX) | Full | --",
-        "2 | ABCD1234560 | 2011-01-03 | Loaded | A (XX) | Full | V1",
-        "3 | ABCD1234560 | 2011-01-06 | Final Destination | B (XX) | Full | --",
-        "4 | ABCD1234560 | 2011-01-09 | Loaded | B (XX) | Full | V2",
-        "5 | ABCD1234560 | 2011-01-12 | Discharged | C (XX) | Full | --",
+        "1,ABCD1234560,2011-01-02,Gate In,A,XX,Full,",
+        "2,ABCD1234560,2011-01-03,Loaded,A,XX,Full,V1",
+        "3,ABCD1234560,2011-01-06,Final Destination,B,XX,Full,",
+        "4,ABCD1234560,2011-01-09,Loaded,B,XX,Full,V2",
+        "5,ABCD1234560,2011-01-12,Discharged,C,XX,Full,",
     ]
     itineraries = segment_container_sequence(_events(lines, vocab))
     assert len(itineraries) == 1
@@ -161,14 +146,14 @@ def _random_stream(rng, vocab, n_events):
         port = rng.choice("ABCD")
         vessel = "V%d" % rng.randrange(3) if phrase == "Loaded" else None
         lines.append(
-            "%d | ABCD1234560 | %s | %s | %s (XX) | %s | %s"
+            "%d,ABCD1234560,%s,%s,%s,XX,%s,%s"
             % (
                 i + 1,
                 date(2011, 1, 1) + timedelta(days=day),
                 phrase,
                 port,
                 status.value,
-                vessel or "--",
+                vessel or "",
             )
         )
     return _events(lines, vocab)
