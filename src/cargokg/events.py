@@ -10,8 +10,10 @@ TripStart, MaritimeTransshipment, TripEnd and Other.
 CSMs are read from CSV with a header row and columns
 ``csm_id,container_id,date,event,location,country,loading_status,vessel``;
 an empty vessel (or ``--``, ``-``, ``n/a``) means no vessel is involved.
-:func:`read_csm_csv` checks every row and skips or rejects a bad one, and a
-row that repeats the ``csm_id`` of an earlier accepted row is bad too.
+:func:`read_csm_csv` checks every row and skips or rejects a bad one. A row
+whose ``csm_id`` repeats that of an earlier accepted row is bad too, and so
+is one whose ``csm_id`` differs but has the same :func:`event_key` (``A-1``
+and ``a_1``): the two would share one container event node in the graph.
 
 Dates are accepted as ``DD Mon YYYY`` or ISO ``YYYY-MM-DD`` and normalised to
 :class:`datetime.date`.
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .atomicfile import atomic_write
 from .diagnostics import Diagnostics, record
@@ -62,6 +64,12 @@ _SLUG_RE = re.compile(r"[^a-z0-9]+")
 def slug(text: str) -> str:
     """Lowercase identifier-safe form of a name ("Port Kelang" -> "port_kelang")."""
     return _SLUG_RE.sub("_", text.strip().lower()).strip("_") or "x"
+
+
+def event_key(csm_id: str) -> str:
+    """The key of a container event's graph node: two csm_ids with one key
+    would make one node, so the reader accepts only the first."""
+    return slug(csm_id)
 
 
 # ---------------------------------------------------------------------------
@@ -161,15 +169,12 @@ class VocabularyMap:
     and is tallied in :attr:`unmapped` for later inspection.
     """
 
-    def __init__(self, extra_entries: Optional[Dict[str, ReferenceEvent]] = None):
+    def __init__(self):
         self.leaves: Dict[str, ReferenceEvent] = dict(BUILTIN_LEAVES)
         self.entries: Dict[str, ReferenceEvent] = {
             phrase: BUILTIN_LEAVES[leaf] for phrase, leaf in _DEFAULT_PHRASES.items()
         }
         self.unmapped: Counter = Counter()
-        if extra_entries:
-            for phrase, ev in extra_entries.items():
-                self.add_entry(phrase, ev)
 
     def add_entry(self, phrase: str, ev: ReferenceEvent) -> None:
         known = self.leaves.get(ev.leaf)
@@ -428,8 +433,9 @@ def read_csm_csv(
 ) -> List[CsmRecord]:
     """Read a CSM CSV, skipping or aborting on bad rows per ``on_error``.
 
-    A bad row fails a field check, or repeats the ``csm_id`` of an earlier
-    accepted row (the first one wins). Under ``"skip"`` it is counted as a
+    A bad row fails a field check, or its ``csm_id`` repeats that of an
+    earlier accepted row or has the same event key (``event_key``), which
+    would make one graph node of both (the first one wins). Under ``"skip"`` it is counted as a
     ``skipped_row`` diagnostic; under ``"abort"`` it raises CsmParseError.
     A file that is not CSV (say, a field over the csv module's size limit)
     raises CsmParseError naming the line.
@@ -437,7 +443,7 @@ def read_csm_csv(
     if on_error not in ("skip", "abort"):
         raise ValueError("on_error must be 'skip' or 'abort'")
     records: List[CsmRecord] = []
-    accepted: Set[str] = set()  # the csm_ids of the records
+    accepted: Dict[str, str] = {}  # event key -> the csm_id of the record
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -454,11 +460,19 @@ def read_csm_csv(
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 row_id = row[0].strip() or "line %d" % lineno
+                key = event_key(row_id)
                 try:
-                    if row_id in accepted:
+                    first = accepted.get(key)
+                    if first == row_id:
                         raise CsmParseError(row_id, "csm_id repeats an earlier row")
+                    if first is not None:
+                        raise CsmParseError(
+                            row_id,
+                            "csm_id and the earlier row's %s have one event key, %s"
+                            % (first, key),
+                        )
                     records.append(_parse_row(row_id, row, strict_check_digit, diagnostics))
-                    accepted.add(row_id)
+                    accepted[key] = row_id
                 except CsmParseError as exc:
                     if on_error == "abort":
                         raise

@@ -59,7 +59,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 from urllib.parse import quote, unquote
 
 from .atomicfile import atomic_write
-from .events import Location, TopClass, slug, timestamp_literal
+from .events import BUILTIN_LEAVES, Location, TopClass, event_key, slug, timestamp_literal
 from .linking import BindingKind, TransshipmentBinding
 from .segmentation import ContainerItinerary
 from .vessels import VesselEvent, VesselEventKind, VesselTrip, vessel_key
@@ -233,21 +233,9 @@ _BUILTIN_CONCEPTS: List[Tuple[str, Optional[str]]] = [
     (THING, None),
     ("Event", THING),
     ("ContainerEvent", "Event"),
-    ("TripStart", "ContainerEvent"),
-    ("ReceivedAtOrigin", "TripStart"),
-    ("GateIn", "TripStart"),
-    ("ReleasedToShipperForCargoStuffing", "TripStart"),
-    ("MaritimeTransshipment", "ContainerEvent"),
-    ("LoadedToVessel", "MaritimeTransshipment"),
-    ("DischargedAtPort", "MaritimeTransshipment"),
-    ("TransshipmentLoad", "MaritimeTransshipment"),
-    ("TransshipmentDischarge", "MaritimeTransshipment"),
-    ("TripEnd", "ContainerEvent"),
-    ("GateOut", "TripEnd"),
-    ("FinalDestination", "TripEnd"),
-    ("EmptyReturned", "TripEnd"),
-    ("Other", "ContainerEvent"),
-    ("Unknown", "Other"),
+    # the reference event taxonomy: its four top classes, then their leaves
+    *((top.value, "ContainerEvent") for top in TopClass),
+    *((leaf, ev.top_class.value) for leaf, ev in BUILTIN_LEAVES.items()),
     ("VesselEvent", "Event"),
     ("Arrival", "VesselEvent"),
     ("Departure", "VesselEvent"),
@@ -290,14 +278,6 @@ _BUILTIN_ROLES: List[Role] = [
     Role("hasArrivalEvent", "VesselTrip", "Arrival"),
     Role("belongsTo", "Container", "Carrier"),
 ]
-
-_TOP_CLASS_CONCEPT = {
-    TopClass.TRIP_START: "TripStart",
-    TopClass.MARITIME_TRANSSHIPMENT: "MaritimeTransshipment",
-    TopClass.TRIP_END: "TripEnd",
-    TopClass.OTHER: "Other",
-}
-
 
 def builtin_taxonomy() -> ConceptTaxonomy:
     tax = ConceptTaxonomy()
@@ -782,7 +762,7 @@ def carrier_node(container_id: str) -> str:
 
 
 def container_event_node(event_id: str) -> str:
-    return "ce_" + slug(event_id)
+    return "ce_" + event_key(event_id)
 
 
 def itinerary_node(itinerary_id: str) -> str:
@@ -872,7 +852,7 @@ def populate(
         previous: Optional[str] = None
         for e in it.events:
             leaf = e.ref_event.leaf
-            top = _TOP_CLASS_CONCEPT[e.ref_event.top_class]
+            top = e.ref_event.top_class.value
             concept = graph.taxonomy.resolve(leaf)
             if concept is None:
                 graph.add_concept(leaf, top)

@@ -13,11 +13,16 @@ range over. ``DETECTORS`` maps each (pattern, variant) to that template and
 to its port parameters in binding order, each with the realized ports it
 ranges over (ports never touched by an itinerary cannot match). The template
 is planned once with its placeholders lifted into parameters, then evaluated
-once per anchor port (pair) passed in as a binding. Result rows become
-Detections carrying evidence and a date gap between the container's end and
-the vessel's return/arrival. Raw matches with a wide gap are almost always
-sequence gaps rather than anomalies, so a threshold partitions them into
-Suspicious and PrunedByDate.
+once per anchor port (pair) passed in as a binding. Result rows are grouped
+per (anchor, itinerary, end date, vessel date), and the least row of each
+group, its values read in variable-name order, gives the evidence.
+
+``make_detection`` turns a match into a Detection carrying evidence and a
+date gap between the container's end and the vessel's return/arrival, and
+``judge`` gives the verdicts and the order: raw matches with a wide gap are
+almost always sequence gaps rather than anomalies, so a threshold partitions
+them into Suspicious and PrunedByDate. The procedural scanners
+(``cargokg.scanners``) end through the same two functions.
 
 The date-filtered templates are the primary path; the unfiltered forms stay
 available for benchmark parity. They do not ask the same thing in every case
@@ -30,6 +35,7 @@ from datetime import date
 from enum import Enum
 from importlib import resources
 from itertools import product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .atomicfile import atomic_write
@@ -175,15 +181,17 @@ def _event_date(graph: KnowledgeGraph, event_node: str) -> Optional[date]:
     return _date_of(graph, stamps[0]) if stamps else None
 
 
+def _label(graph: KnowledgeGraph, node: str) -> str:
+    return graph.attr(node, "label") or node
+
+
 def _port_name(graph: KnowledgeGraph, node: str) -> str:
     return graph.attr(node, "name") or node
 
 
 def _vessel_of(graph: KnowledgeGraph, vessel_event: str) -> str:
     vessels = graph.objects(vessel_event, "hasMO")
-    if not vessels:
-        return ""
-    return graph.attr(vessels[0], "label") or vessels[0]
+    return _label(graph, vessels[0]) if vessels else ""
 
 
 def _adjacent_vessel(graph: KnowledgeGraph, event: str, direction: str, role: str) -> str:
@@ -195,37 +203,39 @@ def _adjacent_vessel(graph: KnowledgeGraph, event: str, direction: str, role: st
     for n in neighbours:
         vessels = graph.objects(n, role)
         if vessels:
-            return graph.attr(vessels[0], "label") or vessels[0]
+            return _label(graph, vessels[0])
     return ""
 
 
-def _build_detection(
+def make_detection(
     graph: KnowledgeGraph,
     kind: PatternKind,
-    row: Dict[str, str],
+    ci: str,
+    t: str,
+    v: str,
     p1_node: Optional[str],
+    end_date: Optional[date],
+    vessel_date: Optional[date],
 ) -> Detection:
-    """``p1_node`` is a loop's anchor port, None for unnecessary
-    transshipment; the evidence's px is always the itinerary's destination."""
-    ci = row["c"]
-    end_date = _date_of(graph, row["cd"])
-    vessel_date = _event_date(graph, row["v1"])
-    t = row["t"]
-    container_nodes = graph.objects(ci, "hasMO")
-    container = (
-        graph.attr(container_nodes[0], "label") if container_nodes else ""
-    ) or ""
+    """The Detection of one match, before its verdict: itinerary ``ci``, its
+    transshipment event ``t`` and the vessel event ``v`` that event names.
+
+    ``p1_node`` is a loop's anchor port, None for unnecessary transshipment;
+    the evidence's px is always the itinerary's destination. Both the query
+    detectors and the procedural scanners build their detections here.
+    """
     if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT:
-        vessel1 = _vessel_of(graph, row["v"])
+        vessel1 = _vessel_of(graph, v)
         vessel2 = _adjacent_vessel(graph, t, "after", "hasLoadingVessel")
     else:
-        vessel2 = _vessel_of(graph, row["v"])
+        vessel2 = _vessel_of(graph, v)
         vessel1 = _adjacent_vessel(graph, t, "before", "hasDischargingVessel")
+    containers = graph.objects(ci, "hasMO")
     t_ports = graph.objects(t, "hasLocation")
     dests = graph.objects(ci, "hasCIDestinationPort")
     evidence = Evidence(
-        container_id=container,
-        transshipment_event_id=graph.attr(t, "label") or t,
+        container_id=(graph.attr(containers[0], "label") or "") if containers else "",
+        transshipment_event_id=_label(graph, t),
         transshipment_port=_port_name(graph, t_ports[0]) if t_ports else "",
         vessel1=vessel1,
         vessel2=vessel2,
@@ -238,10 +248,7 @@ def _build_detection(
     if end_date is not None and vessel_date is not None:
         gap = (vessel_date - end_date).days
     return Detection(
-        itinerary_id=graph.attr(ci, "label") or ci,
-        kind=kind,
-        evidence=evidence,
-        date_gap_days=gap,
+        itinerary_id=_label(graph, ci), kind=kind, evidence=evidence, date_gap_days=gap
     )
 
 
@@ -274,22 +281,28 @@ def _rows_to_detections(
 ) -> List[Detection]:
     """Group full binding rows by (anchor ports, itinerary, end date, vessel
     date) — per anchor, the identity the projected DISTINCT form would give —
-    and keep one canonical evidence row per group."""
-    groups: Dict[Tuple, Dict[str, str]] = {}
+    and keep one canonical evidence row per group: the least row, its values
+    read in variable-name order."""
+    if not rows:
+        return []
+    rank = itemgetter(*sorted(rows[0]))  # every row binds the same variables
+    groups: Dict[Tuple, Tuple[Tuple[str, ...], Dict[str, str]]] = {}
     for row in rows:
         end = _date_of(graph, row["cd"])
         vessel = _event_date(graph, row["v1"])
         if not _direction_holds(kind, end, vessel):
             continue
         key = (tuple(row[name] for name in anchors), row["c"], end, vessel)
+        candidate = (rank(row), row)
         best = groups.get(key)
-        candidate_rank = tuple(row[k] for k in sorted(row))
-        if best is None or candidate_rank < tuple(best[k] for k in sorted(best)):
-            groups[key] = row
+        if best is None or candidate[0] < best[0]:
+            groups[key] = candidate
     p1 = None if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT else next(iter(anchors))
     return [
-        _build_detection(graph, kind, row, row[p1] if p1 else None)
-        for _, row in sorted(groups.items(), key=lambda kv: kv[0][:2])
+        make_detection(
+            graph, kind, row["c"], row["t"], row["v"], row[p1] if p1 else None, end, vessel
+        )
+        for (_, _, end, vessel), (_, row) in sorted(groups.items(), key=lambda kv: kv[0][:2])
     ]
 
 
@@ -328,11 +341,7 @@ def detect(
             yield dict(zip(anchors, ports))
 
     rows = evaluate_rows(template, graph, diagnostics, bindings())
-    detections = _rows_to_detections(graph, kind, rows, anchors)
-    suspicious, pruned = prune_by_date(detections, threshold_days)
-    merged = suspicious + pruned
-    merged.sort(key=Detection.sort_key)
-    return merged
+    return judge(_rows_to_detections(graph, kind, rows, anchors), threshold_days)
 
 
 def prune_by_date(
@@ -366,6 +375,13 @@ def prune_by_date(
             )
             pruned.append(det)
     return suspicious, pruned
+
+
+def judge(detections: Iterable[Detection], threshold_days: int) -> List[Detection]:
+    """Give every detection its verdict (``prune_by_date``); all of them, in
+    ``Detection.sort_key`` order."""
+    suspicious, pruned = prune_by_date(detections, threshold_days)
+    return sorted(suspicious + pruned, key=Detection.sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ either one surfaces as a mismatch instead of silently wrong output.
 
 Scanners mirror the detectors' semantics exactly, including the date
 direction conditions of the filtered query forms and the grouping of
-matches by (itinerary, container end date, vessel date).
+matches by (itinerary, container end date, vessel date). Only the matching
+is their own: the first match per group becomes a Detection through
+``patterns.make_detection``, and ``patterns.judge`` gives the verdicts, as
+for the detectors. The cross-check compares keys and verdicts.
 """
 
 from datetime import date
@@ -18,13 +21,13 @@ from .graph import KnowledgeGraph
 from .patterns import (
     DEFAULT_DATE_THRESHOLD_DAYS,
     Detection,
-    Evidence,
     PatternKind,
-    _adjacent_vessel,
     _date_of,
+    _event_date,
+    _label,
     _port_name,
-    _vessel_of,
-    prune_by_date,
+    judge,
+    make_detection,
 )
 
 
@@ -65,40 +68,17 @@ def _emit(
     itinerary: str,
     t: str,
     v: str,
-    p1_node: str,
+    p1_node: Optional[str],
     end: date,
     vessel_date: date,
     found: Dict[Tuple, Detection],
 ) -> None:
-    key = (graph.attr(itinerary, "label") or itinerary, _port_name(graph, p1_node) if kind is not PatternKind.UNNECESSARY_TRANSSHIPMENT else "", end, vessel_date)
-    if key in found:
-        return
-    container = _single(graph, itinerary, "hasMO")
-    dest = _single(graph, itinerary, "hasCIDestinationPort")
-    t_port = _single(graph, t, "hasLocation")
-    if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT:
-        vessel1 = _vessel_of(graph, v)
-        vessel2 = _adjacent_vessel(graph, t, "after", "hasLoadingVessel")
-    else:
-        vessel2 = _vessel_of(graph, v)
-        vessel1 = _adjacent_vessel(graph, t, "before", "hasDischargingVessel")
-    evidence = Evidence(
-        container_id=(graph.attr(container, "label") or "") if container else "",
-        transshipment_event_id=graph.attr(t, "label") or t,
-        transshipment_port=_port_name(graph, t_port) if t_port else "",
-        vessel1=vessel1,
-        vessel2=vessel2,
-        port_p1=key[1],
-        port_px=_port_name(graph, dest) if dest else "",
-        container_end_date=end,
-        vessel_date=vessel_date,
-    )
-    found[key] = Detection(
-        itinerary_id=key[0],
-        kind=kind,
-        evidence=evidence,
-        date_gap_days=(vessel_date - end).days,
-    )
+    """Record a match unless one with its (itinerary, p1, end date, vessel
+    date) came first."""
+    p1 = _port_name(graph, p1_node) if p1_node else ""
+    key = (_label(graph, itinerary), p1, end, vessel_date)
+    if key not in found:
+        found[key] = make_detection(graph, kind, itinerary, t, v, p1_node, end, vessel_date)
 
 
 def scan(
@@ -122,38 +102,25 @@ def scan(
             _scan_loop(graph, itinerary, end, variant, found)
         else:
             _scan_loop_intermediate(graph, itinerary, end, found)
-    detections = list(found.values())
-    suspicious, pruned = prune_by_date(detections, threshold_days)
-    merged = suspicious + pruned
-    merged.sort(key=Detection.sort_key)
-    return merged
+    return judge(found.values(), threshold_days)
 
 
 def _scan_unnecessary(graph, itinerary, end, variant, found):
-    if _single(graph, itinerary, "hasCIDestinationPort") is None:
-        return
     dest = _single(graph, itinerary, "hasCIDestinationPort")
+    if dest is None:
+        return
     for t in _maritime_events(graph, itinerary, "hasDischargingVesselEvent"):
         v = _single(graph, t, "hasDischargingVesselEvent")
         for v1 in _chain_after(graph, v):
             if _single(graph, v1, "hasLocation") != dest:
                 continue
-            vd = _date_of(graph, _single(graph, v1, "hasTimestamp") or "")
+            vd = _event_date(graph, v1)
             if vd is None:
                 continue
             if not vd > end:  # the pattern's date direction, both variants
                 continue
-            _emit(
-                graph,
-                PatternKind.UNNECESSARY_TRANSSHIPMENT,
-                itinerary,
-                t,
-                v,
-                dest,
-                end,
-                vd,
-                found,
-            )
+            kind = PatternKind.UNNECESSARY_TRANSSHIPMENT
+            _emit(graph, kind, itinerary, t, v, None, end, vd, found)
 
 
 def _loop_core(graph, itinerary, end, anchor_node, min_anchor_date, found, kind):
@@ -166,7 +133,7 @@ def _loop_core(graph, itinerary, end, anchor_node, min_anchor_date, found, kind)
         for i, v1 in enumerate(chain):
             if _single(graph, v1, "hasLocation") != anchor_node:
                 continue
-            vd = _date_of(graph, _single(graph, v1, "hasTimestamp") or "")
+            vd = _event_date(graph, v1)
             if vd is None or not end > vd:
                 continue
             if min_anchor_date is not None and not vd > min_anchor_date:
@@ -180,7 +147,7 @@ def _loop_core(graph, itinerary, end, anchor_node, min_anchor_date, found, kind)
                         graph.concept_of(t2), "MaritimeTransshipment"
                     ):
                         continue
-                    t2_date = _date_of(graph, _single(graph, t2, "hasTimestamp") or "")
+                    t2_date = _event_date(graph, t2)
                     if t2_date is not None and t2_date > vd:
                         discharged_here = True
                         break
@@ -206,7 +173,7 @@ def _scan_loop(graph, itinerary, end, variant, found):
         for i, v1 in enumerate(chain):
             if _single(graph, v1, "hasLocation") != source:
                 continue
-            vd = _date_of(graph, _single(graph, v1, "hasTimestamp") or "")
+            vd = _event_date(graph, v1)
             if vd is None or not vd < end:  # the pattern's date direction
                 continue
             if any(
@@ -219,7 +186,7 @@ def _scan_loop_intermediate(graph, itinerary, end, found):
     visit_dates: Dict[str, List[date]] = {}
     for e in graph.objects(itinerary, "hasContainerEvent"):
         port = _single(graph, e, "hasLocation")
-        d = _date_of(graph, _single(graph, e, "hasTimestamp") or "")
+        d = _event_date(graph, e)
         if port is not None and d is not None:
             visit_dates.setdefault(port, []).append(d)
     for port, dates in visit_dates.items():

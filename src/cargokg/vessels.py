@@ -10,6 +10,10 @@ Only explicit vessel references count as witnesses: a discharge whose vessel
 was inferred by propagation inside an itinerary confirms nothing about where
 the vessel actually was.
 
+A port is identified by its ``Location.key``, as its graph node is: two
+spellings of one port (``Port Kelang,MY`` and ``PORT KELANG,MY``) are one
+port, so their sightings join one call.
+
 Aggregation groups by vessel, so per-vessel derivation is embarrassingly
 parallel over immutable inputs.
 """
@@ -110,13 +114,17 @@ def aggregate_port_calls(
     for vessel_id in sorted(per_vessel):
         clusters: List[List[Tuple[date, Location, str]]] = []
         for s in sorted(per_vessel[vessel_id], key=lambda s: (s[0], s[1].key, s[2])):
-            if clusters and s[1] == clusters[-1][-1][1] and s[0] - clusters[-1][-1][0] <= window:
+            if (
+                clusters
+                and s[1].key == clusters[-1][-1][1].key
+                and s[0] - clusters[-1][-1][0] <= window
+            ):
                 clusters[-1].append(s)
             else:
                 clusters.append([s])
         vessel_calls = [_to_call(vessel_id, cluster) for cluster in clusters]
         for a, b in zip(vessel_calls, vessel_calls[1:]):
-            if b.first_seen <= a.last_seen and a.port != b.port:
+            if b.first_seen <= a.last_seen and a.port.key != b.port.key:
                 record(
                     diagnostics,
                     "overlapping_calls",

@@ -349,6 +349,36 @@ def test_ingest_treats_a_repeated_csm_id_as_a_bad_row(tmp_path, capsys):
     assert graph.objects("ce_10000002", "hasLocation") == ("port_shangai_cn",)
 
 
+def test_ingest_treats_csm_ids_with_one_event_key_as_a_bad_row(tmp_path, capsys):
+    # A-1 and a_1 are distinct ids, but both would be the node ce_a_1
+    csm = tmp_path / "csm.csv"
+    csm.write_text(
+        ",".join(CSM_CSV_COLUMNS) + "\n"
+        "A-1,ABCU1234560,2010-05-27,Gate In,Shangai,CN,Full,\n"
+        "A-2,ABCU1234560,2010-05-30,Loaded/Ramped,Shangai,CN,Full,Aurora\n"
+        "a_1,ABCU1234560,2010-06-20,Discharged/Deramped,Rotterdam,NL,Full,\n"
+        "A-3,ABCU1234560,2010-06-21,Gate Out,Rotterdam,NL,Full,\n"
+    )
+    stage = ["--out-itineraries", str(tmp_path / "it.jsonl"),
+             "--out-events", str(tmp_path / "ev.jsonl")]
+    code, out, err = _run(capsys, "ingest", "--input", str(csm), "--on-error", "abort", *stage)
+    assert code == 1 and out == ""
+    assert "error: row a_1: csm_id and the earlier row's A-1 have one event key, a_1" in err
+
+    code, out, _ = _run(capsys, "ingest", "--input", str(csm), *stage)
+    assert code == 0
+    assert "records=3 " in out and "skipped_rows=1 " in out
+    code, _, err = _run(
+        capsys, "build-kb", "--itineraries", str(tmp_path / "it.jsonl"),
+        "--events", str(tmp_path / "ev.jsonl"), "--out", str(tmp_path / "g.kb"),
+    )
+    assert code == 0, err
+    graph = KnowledgeGraph.load(str(tmp_path / "g.kb"))
+    # the first occurrence, the gate-in at Shangai, is kept
+    assert graph.attr("ce_a_1", "label") == "A-1"
+    assert graph.objects("ce_a_1", "hasLocation") == ("port_shangai_cn",)
+
+
 def test_ingest_strict_and_abort(tmp_path, capsys):
     csm = tmp_path / "t3.csv"
     write_csm_csv(str(csm), table3_records())

@@ -10,6 +10,7 @@ from cargokg.events import (
     LoadingStatus,
     TopClass,
     VocabularyError,
+    event_key,
     iso6346_check_digit,
     load_vocabulary,
     make_container_id,
@@ -182,6 +183,26 @@ def test_a_repeated_csm_id_is_a_bad_row(tmp_path):
     ]
     assert diag.records == [("skipped_row", "row 10000002: csm_id repeats an earlier row")]
     with pytest.raises(CsmParseError, match="row 10000002: csm_id repeats an earlier row"):
+        read_csm_csv(str(path), on_error="abort")
+
+
+def test_csm_ids_with_one_event_key_are_a_bad_row(tmp_path):
+    path = tmp_path / "csm.csv"
+    path.write_text(
+        HEADER
+        + "A-1,ABCU1234560,2010-05-27,Gate In,Shangai,CN,Full,\n"
+        + "a_1,ABCU1234560,2010-05-30,Loaded/Ramped,Shangai,CN,Full,Aurora\n"
+        + "A-1,ABCU1234560,2010-06-20,Discharged/Deramped,Rotterdam,NL,Full,\n"
+    )
+    assert event_key("A-1") == event_key("a_1") == "a_1"
+    diag = Diagnostics()
+    records = read_csm_csv(str(path), diagnostics=diag)
+    assert [r.csm_id for r in records] == ["A-1"]
+    assert diag.records == [
+        ("skipped_row", "row a_1: csm_id and the earlier row's A-1 have one event key, a_1"),
+        ("skipped_row", "row A-1: csm_id repeats an earlier row"),
+    ]
+    with pytest.raises(CsmParseError, match="row a_1: csm_id and the earlier row's A-1"):
         read_csm_csv(str(path), on_error="abort")
 
 

@@ -1,3 +1,4 @@
+import random
 from datetime import date
 from itertools import count
 
@@ -264,3 +265,67 @@ def test_detect_deadline_fires_between_pair_passes(monkeypatch):
     with pytest.raises(DetectTimeout):
         detect(PatternKind.LOOP, graph, variant="unfiltered", deadline_seconds=10.5)
     assert len(passes) == 10 < pairs
+
+
+@pytest.fixture(scope="module")
+def sweep_graph():
+    """The anchor-sweep benchmark's input at seed 42, where one (anchor,
+    itinerary, end, vessel date) group often holds several rows."""
+    records, _ = generate(GenConfig(
+        seed=42, itinerary_count=300, port_count=300, vessel_count=300,
+        transshipment_rate=0.5, injected_loops=5, injected_unnecessary=5,
+    ))
+    return run_pipeline(records).graph
+
+
+def _reference_detections(graph, kind, rows, anchors):
+    """The evidence rule spelled out: per group, the least row with its
+    values read in variable-name order."""
+    groups = {}
+    for row in rows:
+        end = patterns._date_of(graph, row["cd"])
+        vessel = patterns._event_date(graph, row["v1"])
+        if patterns._direction_holds(kind, end, vessel):
+            key = (tuple(row[name] for name in anchors), row["c"], end, vessel)
+            groups.setdefault(key, []).append(row)
+    p1 = None if kind is PatternKind.UNNECESSARY_TRANSSHIPMENT else next(iter(anchors))
+    detections = []
+    for (_, ci, end, vessel), group in sorted(groups.items(), key=lambda kv: kv[0][:2]):
+        row = min(group, key=lambda r: tuple(r[k] for k in sorted(r)))
+        detections.append(patterns.make_detection(
+            graph, kind, ci, row["t"], row["v"], row[p1] if p1 else None, end, vessel
+        ))
+    return detections
+
+
+@pytest.mark.parametrize(
+    "cell",
+    sorted(DETECTORS, key=lambda c: (c[0].value, c[1])),
+    ids=lambda c: "%s-%s" % (c[0].value, c[1]),
+)
+def test_evidence_is_the_least_row_of_each_group(cell, sweep_graph, monkeypatch):
+    kind, variant = cell
+    calls = []
+    real = patterns._rows_to_detections
+    monkeypatch.setattr(
+        patterns, "_rows_to_detections",
+        lambda graph, kind, rows, anchors: calls.append((rows, anchors)) or real(
+            graph, kind, rows, anchors
+        ),
+    )
+    detect(kind, sweep_graph, variant=variant)  # bound as detect binds it
+    [(rows, anchors)] = calls
+    expected = _reference_detections(sweep_graph, kind, rows, anchors)
+    assert expected and real(sweep_graph, kind, rows, anchors) == expected
+    # The rows of one group found here differ only in variables the evidence
+    # does not read, so each row also gets twins naming the itinerary's least
+    # and greatest other event as ?t: groups whose rows give different
+    # evidence, in shuffled order.
+    twins = list(rows)
+    for row in rows:
+        others = [e for e in sweep_graph.objects(row["c"], "hasContainerEvent") if e != row["t"]]
+        twins += [dict(row, t=others[0]), dict(row, t=others[-1])]
+    random.Random(7).shuffle(twins)
+    expected_with_twins = _reference_detections(sweep_graph, kind, twins, anchors)
+    assert expected_with_twins != expected
+    assert real(sweep_graph, kind, twins, anchors) == expected_with_twins

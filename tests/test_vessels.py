@@ -2,6 +2,8 @@ import random
 from datetime import date, timedelta
 
 from cargokg.diagnostics import Diagnostics
+from cargokg.patterns import PatternKind, detect
+from cargokg.pipeline import run_pipeline
 from cargokg.segmentation import events_from_records
 from cargokg.vessels import (
     VesselEvent,
@@ -14,7 +16,16 @@ from cargokg.vessels import (
     vessel_key,
 )
 
-from helpers import P1, P3, PX, PORT_KELANG, SHANGAI, ANTWERPEN, table3_records
+from helpers import (
+    ANTWERPEN,
+    P1,
+    P3,
+    PORT_KELANG,
+    PX,
+    SHANGAI,
+    read_csm_rows,
+    table3_records,
+)
 from oracles import cluster_witnesses_oracle, pair_trips_oracle
 
 
@@ -174,6 +185,32 @@ def test_two_ports_on_one_date_are_overlapping_calls():
     )
     assert diag.count("overlapping_calls") == 1 and diag.count("dropped_call") == 1
     assert vessel_events == derive_vessel_events(list(reversed(calls)))
+
+
+# two carriers spell one port two ways; both loads board MSC ANNA in one call
+TWO_SPELLINGS_LINES = [
+    "1,CSQU3054383,2010-04-28,Gate In,Port Kelang,MY,Full,",
+    "2,CSQU3054383,2010-05-02,Loaded/Ramped,Port Kelang,MY,Full,MSC ANNA",
+    "3,CSQU3054383,2010-05-09,Discharged/Deramped,Rotterdam,NL,Full,MSC ANNA",
+    "4,CSQU3054383,2010-05-10,Gate Out,Rotterdam,NL,Full,",
+    "5,TGHU8765432,2010-04-27,Gate In,PORT KELANG,MY,Full,",
+    "6,TGHU8765432,2010-05-01,Loaded/Ramped,PORT KELANG,MY,Full,MSC ANNA",
+    "7,TGHU8765432,2010-05-09,Discharged/Deramped,Rotterdam,NL,Full,MSC ANNA",
+    "8,TGHU8765432,2010-05-10,Gate Out,Rotterdam,NL,Full,",
+]
+
+
+def test_two_spellings_of_a_port_are_one_call():
+    diag = Diagnostics()
+    result = run_pipeline(read_csm_rows(TWO_SPELLINGS_LINES), diagnostics=diag)
+    calls = result.port_calls
+    assert [(c.port.key, c.first_seen.day, c.last_seen.day, c.support) for c in calls] == [
+        ("port_kelang_my", 1, 2, 2), ("rotterdam_nl", 9, 9, 2)
+    ]
+    assert [t.trip_id for t in result.trips] == ["vt_msc_anna_000"]
+    assert diag.count("overlapping_calls") == 0
+    for variant in ("filtered", "unfiltered"):
+        assert detect(PatternKind.LOOP, result.graph, variant=variant) == []
 
 
 def test_trips_pairing():
