@@ -119,8 +119,9 @@ def _scan_unnecessary(graph, itinerary, end, variant, found):
                 continue
             if not vd > end:  # the pattern's date direction, both variants
                 continue
-            kind = PatternKind.UNNECESSARY_TRANSSHIPMENT
-            _emit(graph, kind, itinerary, t, v, None, end, vd, found)
+            _emit(
+                graph, PatternKind.UNNECESSARY_TRANSSHIPMENT, itinerary, t, v, None, end, vd, found
+            )
 
 
 def _loop_core(graph, itinerary, end, anchor_node, min_anchor_date, found, kind):
